@@ -17,8 +17,8 @@
  * scripts/bench_compare.py tracks in BENCH_replay.json against its
  * committed baseline.
  *
- * Like abl_engine this binary measures host time, so a custom main
- * pins CCSVM_BENCH_JOBS=1; numbers from a concurrent run_figures.sh
+ * This binary measures host time, so a custom main pins
+ * CCSVM_BENCH_JOBS=1; numbers from a concurrent run_figures.sh
  * session are indicative only.
  */
 

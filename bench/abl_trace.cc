@@ -3,8 +3,8 @@
  * Ablation A9: what does observability cost?
  *
  * The tracing layer claims to be zero-overhead when disabled (every
- * record site is one load + mask test) and cheap when enabled (a
- * ring-buffer store per event, flushed at window barriers). This
+ * record site is one load + mask test) and cheap when enabled (one
+ * buffer store per event). This
  * bench puts numbers on both claims with the same matmul run at
  * three settings:
  *
@@ -18,7 +18,7 @@
  * never perturb it.
  *
  * Host-time measurement, so the custom main pins CCSVM_BENCH_JOBS=1
- * like abl_engine; numbers from a shared run_figures.sh session are
+ * like abl_replay; numbers from a concurrent run_figures.sh run are
  * indicative only.
  */
 

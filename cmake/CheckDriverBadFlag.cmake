@@ -144,6 +144,33 @@ if(NOT out MATCHES "lru\nfifo\nrand\nregion")
   message(FATAL_ERROR "--list-replacers output unexpected:\n${out}")
 endif()
 
+# --sim-threads is not a flag: one machine runs on one event queue.
+execute_process(
+  COMMAND ${CCSVM_DRIVER} --sim-threads 4
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown option '--sim-threads'")
+  message(FATAL_ERROR "--sim-threads must be an unknown option "
+                      "(exit 2), got ${rc}\nstderr: ${err}")
+endif()
+
+# 65 L1 caches (4 CPU + 61 MTTOP) overflow the directory's 64-bit
+# sharer mask: exit 2 naming the flag, before any simulation.
+execute_process(
+  COMMAND ${CCSVM_DRIVER} --mttop-cores 61
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "65 L1s exited ${rc}, want 2\n"
+                      "stdout: ${out}\nstderr: ${err}")
+endif()
+if(NOT err MATCHES "--mttop-cores" OR NOT err MATCHES "64")
+  message(FATAL_ERROR "65-L1 error does not name the flag and the "
+                      "limit:\n${err}")
+endif()
+
 # Flag missing its argument: exit 2.
 execute_process(
   COMMAND ${CCSVM_DRIVER} --workload

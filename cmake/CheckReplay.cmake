@@ -5,9 +5,9 @@
 #     replay each with --workload replay --trace, and require the
 #     "sim" + "stats" JSON sections byte-identical to the capture
 #     run's (the workload/params echo legitimately differs)
-#   - replay at --sim-threads 4 must match the --sim-threads 1 bytes
-#   - the capture file itself must be byte-identical at
-#     --sim-threads 1 vs 4 (records flush at window barriers)
+#   - the same capture run done twice must write a byte-identical
+#     capture file and stats JSON, and its "sim" + "stats" sections
+#     must equal those of the same run without --capture-out
 #   - ccsvm-trace inspect/validate/stats must accept the fresh trace
 #   - a shape-mismatched replay (--cpu-cores 2) must exit 2 with a
 #     "machine shape" diagnostic; --workload replay without --trace
@@ -47,13 +47,11 @@ function(run_ok)
 endfunction()
 
 # The simulation result: everything in the JSON from the "sim"
-# summary on (summary + full stats registry), with the echoed
-# sim_threads normalized. The leading workload/params echo is the one
-# part that legitimately differs between a capture run and its replay.
+# summary on (summary + full stats registry). The leading
+# workload/params echo is the one part that legitimately differs
+# between a capture run and its replay.
 function(sim_and_stats var json)
   file(READ ${json} doc)
-  string(REGEX REPLACE "\"sim_threads\": [0-9]+"
-         "\"sim_threads\": 0" doc "${doc}")
   string(FIND "${doc}" "\"sim\": {" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "${json} has no sim section:\n${doc}")
@@ -71,29 +69,43 @@ function(check_workload tag)
   run_ok(${CCSVM_DRIVER} ${wl_flags} --capture-out ${trace}
          --json ${cap_json})
 
-  foreach(threads 1 4)
-    set(rep_json ${CCSVM_OUT_DIR}/replay_${tag}_t${threads}.json)
-    run_ok(${CCSVM_DRIVER} --workload replay --trace ${trace}
-           --sim-threads ${threads} --json ${rep_json})
-    sim_and_stats(cap_doc ${cap_json})
-    sim_and_stats(rep_doc ${rep_json})
-    if(NOT cap_doc STREQUAL rep_doc)
-      message(FATAL_ERROR "${tag}: replay at --sim-threads "
-              "${threads} diverged from the capture run:\n"
-              "--- capture:\n${cap_doc}\n--- replay:\n${rep_doc}")
-    endif()
-  endforeach()
+  set(rep_json ${CCSVM_OUT_DIR}/replay_${tag}_rep.json)
+  run_ok(${CCSVM_DRIVER} --workload replay --trace ${trace}
+         --json ${rep_json})
+  sim_and_stats(cap_doc ${cap_json})
+  sim_and_stats(rep_doc ${rep_json})
+  if(NOT cap_doc STREQUAL rep_doc)
+    message(FATAL_ERROR "${tag}: replay diverged from the capture "
+            "run:\n--- capture:\n${cap_doc}\n--- replay:\n${rep_doc}")
+  endif()
 
-  # The trace file itself is part of the determinism contract.
-  set(trace4 ${CCSVM_OUT_DIR}/replay_${tag}_t4.ccsvmt)
-  run_ok(${CCSVM_DRIVER} ${wl_flags} --capture-out ${trace4}
-         --sim-threads 4)
+  # The trace file itself is part of the determinism contract: the
+  # same capture run done twice writes the same bytes.
+  set(trace2 ${CCSVM_OUT_DIR}/replay_${tag}_again.ccsvmt)
+  set(cap2_json ${CCSVM_OUT_DIR}/replay_${tag}_cap_again.json)
+  run_ok(${CCSVM_DRIVER} ${wl_flags} --capture-out ${trace2}
+         --json ${cap2_json})
   execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files ${trace} ${trace4}
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${trace} ${trace2}
     RESULT_VARIABLE same)
   if(NOT same EQUAL 0)
-    message(FATAL_ERROR "${tag}: capture file differs between "
-            "--sim-threads 1 and 4")
+    message(FATAL_ERROR "${tag}: capture file differs between two "
+            "identical runs")
+  endif()
+  file(READ ${cap_json} cap_full)
+  file(READ ${cap2_json} cap2_full)
+  if(NOT cap_full STREQUAL cap2_full)
+    message(FATAL_ERROR "${tag}: stats JSON differs between two "
+            "identical capture runs")
+  endif()
+
+  # Capture is a pure observer.
+  set(plain_json ${CCSVM_OUT_DIR}/replay_${tag}_plain.json)
+  run_ok(${CCSVM_DRIVER} ${wl_flags} --json ${plain_json})
+  sim_and_stats(plain_doc ${plain_json})
+  if(NOT cap_doc STREQUAL plain_doc)
+    message(FATAL_ERROR "${tag}: --capture-out changed the run:\n"
+            "--- captured:\n${cap_doc}\n--- plain:\n${plain_doc}")
   endif()
 
   # The inspection tool must accept what the capture path wrote.
@@ -149,4 +161,4 @@ if(CCSVM_TRACES_DIR)
 endif()
 
 message(STATUS "replay ok: capture/replay byte-identical for 2 "
-               "workloads at --sim-threads 1 and 4")
+               "workloads, capture deterministic and unobtrusive")

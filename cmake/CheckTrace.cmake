@@ -1,17 +1,14 @@
 # Test script: the observability layer's contract at the CLI boundary.
 #
-#   - A traced run exports Chrome trace-event JSON that is
-#     byte-identical at --sim-threads 1 and --sim-threads 4 (the
-#     per-partition rings merge in (when, priority, srcPart, srcSeq)
-#     order at window barriers, so host interleaving must not leak
-#     into the document).
+#   - The same traced, sampled run done twice exports byte-identical
+#     Chrome trace-event JSON and byte-identical stats JSON.
 #   - The trace parses: cmake's string(JSON) always, python3's
 #     json.load when an interpreter is on PATH (closer to what
 #     Perfetto's importer accepts).
-#   - Tracing is observationally free: the stats JSON of a traced run
-#     is byte-identical to the same run without --trace-out.
-#   - --sample-interval populates a "series" section whose samples
-#     are identical at any thread count.
+#   - Observers are free: the "sim" and "stats" sections of a run
+#     with --trace-out, --trace-categories and --sample-interval are
+#     byte-identical to the same run with all of them off.
+#   - --sample-interval populates a "series" section.
 #   - The per-class latency histograms (latency.{cpu,mttop}.mem with
 #     p50/p90/p99) are present for matmul and two synthetic patterns.
 #
@@ -24,33 +21,39 @@ endif()
 
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
-function(run_traced trace json threads)
+function(run_traced trace json)
   execute_process(
     COMMAND ${CCSVM_DRIVER} --workload matmul --n 8
-            --sim-threads ${threads} --sample-interval 500000
-            --trace-out ${trace} --json ${json}
+            --sample-interval 500000 --trace-out ${trace}
+            --trace-categories coh,noc,vm,kernel --json ${json}
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "traced run (--sim-threads ${threads}) "
-            "exited ${rc}\nstdout: ${out}\nstderr: ${err}")
+    message(FATAL_ERROR "traced run exited ${rc}\nstdout: ${out}\n"
+            "stderr: ${err}")
   endif()
 endfunction()
 
-set(tr1 ${CCSVM_OUT_DIR}/trace_t1.json)
-set(tr4 ${CCSVM_OUT_DIR}/trace_t4.json)
-set(j1 ${CCSVM_OUT_DIR}/trace_stats_t1.json)
-set(j4 ${CCSVM_OUT_DIR}/trace_stats_t4.json)
-run_traced(${tr1} ${j1} 1)
-run_traced(${tr4} ${j4} 4)
+set(tr1 ${CCSVM_OUT_DIR}/trace_r1.json)
+set(tr2 ${CCSVM_OUT_DIR}/trace_r2.json)
+set(j1 ${CCSVM_OUT_DIR}/trace_stats_r1.json)
+set(j2 ${CCSVM_OUT_DIR}/trace_stats_r2.json)
+run_traced(${tr1} ${j1})
+run_traced(${tr2} ${j2})
 
-# --- trace byte-identity at any thread count ------------------------
+# --- the same run twice: byte-identical trace and stats -------------
 file(READ ${tr1} trace1)
-file(READ ${tr4} trace4)
-if(NOT trace1 STREQUAL trace4)
-  message(FATAL_ERROR "trace JSON differs between --sim-threads 1 "
-          "and --sim-threads 4")
+file(READ ${tr2} trace2)
+if(NOT trace1 STREQUAL trace2)
+  message(FATAL_ERROR "trace JSON differs between two identical runs")
+endif()
+file(READ ${j1} traced_doc)
+file(READ ${j2} traced_doc2)
+if(NOT traced_doc STREQUAL traced_doc2)
+  message(FATAL_ERROR "stats JSON differs between two identical "
+          "traced runs:\n--- first:\n${traced_doc}\n"
+          "--- second:\n${traced_doc2}")
 endif()
 
 # --- the trace parses and is non-trivial ----------------------------
@@ -80,26 +83,27 @@ else()
   message(STATUS "python3 not found; cmake-only trace parse")
 endif()
 
-# --- stats unperturbed by tracing -----------------------------------
-# Same point, same thread count, no --trace-out (sampling stays on so
-# the documents are comparable): every byte must match.
+# --- stats unperturbed by the observers -----------------------------
+# Same point with tracing and sampling off: the simulation summary
+# and the full stats registry must match byte for byte.
 set(joff ${CCSVM_OUT_DIR}/trace_stats_off.json)
 execute_process(
-  COMMAND ${CCSVM_DRIVER} --workload matmul --n 8 --sim-threads 1
-          --sample-interval 500000 --json ${joff}
+  COMMAND ${CCSVM_DRIVER} --workload matmul --n 8 --json ${joff}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "untraced run exited ${rc}\nstderr: ${err}")
+  message(FATAL_ERROR "unobserved run exited ${rc}\nstderr: ${err}")
 endif()
-file(READ ${j1} traced_doc)
 file(READ ${joff} untraced_doc)
-if(NOT traced_doc STREQUAL untraced_doc)
-  message(FATAL_ERROR "stats JSON changes when tracing is on:\n"
-          "--- traced:\n${traced_doc}\n"
-          "--- untraced:\n${untraced_doc}")
-endif()
+foreach(section sim stats)
+  string(JSON on GET "${traced_doc}" ${section})
+  string(JSON off GET "${untraced_doc}" ${section})
+  if(NOT on STREQUAL off)
+    message(FATAL_ERROR "the ${section} section changes when tracing "
+            "and sampling are on:\n--- on:\n${on}\n--- off:\n${off}")
+  endif()
+endforeach()
 
 # --- the time series ------------------------------------------------
 string(JSON interval GET "${traced_doc}" series interval)
@@ -114,17 +118,6 @@ string(JSON s0_t GET "${traced_doc}" series samples 0 t)
 string(JSON s0_dram GET "${traced_doc}" series samples 0 dram)
 if(s0_t LESS_EQUAL 0)
   message(FATAL_ERROR "first sample has no timestamp: ${s0_t}")
-endif()
-# Identical at 4 threads (already implied by the byte compare of j1
-# vs j4 modulo the echoed sim_threads field).
-file(READ ${j4} doc4)
-string(REGEX REPLACE "\"sim_threads\": [0-9]+" "\"sim_threads\": 0"
-       doc4 "${doc4}")
-string(REGEX REPLACE "\"sim_threads\": [0-9]+" "\"sim_threads\": 0"
-       doc1 "${traced_doc}")
-if(NOT doc1 STREQUAL doc4)
-  message(FATAL_ERROR "stats/series JSON differs between "
-          "--sim-threads 1 and 4")
 endif()
 
 # --- latency histograms across workload classes ---------------------
@@ -161,7 +154,7 @@ foreach(wl matmul synth:false synth:stream)
   endif()
 endforeach()
 
-message(STATUS "observability ok: trace byte-identical at "
-               "--sim-threads 1 vs 4 (${n_events} rows, "
+message(STATUS "observability ok: trace byte-identical across "
+               "runs (${n_events} rows, "
                "${recorded} recorded), stats unperturbed, "
                "${n_samples} series samples, histograms present")

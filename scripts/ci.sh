@@ -48,23 +48,6 @@ done
 # Full pass: every suite (including the long label), all protocols.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Partitioned-engine pass: rerun the machine-level suites with every
-# CcsvmMachine on the 4-worker windowed engine (CCSVM_SIM_THREADS is
-# the suites' opt-in knob — machines built without an explicit
-# simThreads consult it). The engine commits the same event order at
-# any thread count, so exactly the same assertions must hold.
-# litmus_test carries the long label but is named here anyway: its
-# repeated task resubmission is what caught the engine's clock-skew
-# bug.
-echo "=== machine suites on the 4-thread engine ==="
-CCSVM_SIM_THREADS=4 ctest --test-dir "$BUILD_DIR" \
-    --output-on-failure -j "$(nproc)" \
-    -R 'machine_test|mifd_test|litmus_test|coherence_test|parteventq_test'
-
-# Driver smoke on the threaded engine (the quantitative byte-identity
-# grid lives in the ccsvm_parallel_engine ctest, run above).
-"$BUILD_DIR"/tools/ccsvm --workload matmul --n 8 --sim-threads 4
-
 # Synth smoke loop: every synthetic coherence pattern, tiny
 # iteration counts, all protocols. The pattern list comes from the
 # driver's own registry (--list-workloads), so this loop cannot
@@ -84,8 +67,8 @@ for pattern in $SYNTH_PATTERNS; do
 done
 
 # Observability smoke: a traced, sampled run with stdout JSON. The
-# quantitative assertions (trace byte-identity across --sim-threads,
-# stats unperturbed by tracing, histogram presence) live in the
+# quantitative assertions (trace byte-identity across runs, stats
+# unperturbed by tracing, histogram presence) live in the
 # ccsvm_trace_check ctest, which the full pass above already ran.
 echo "=== observability smoke ==="
 "$BUILD_DIR"/tools/ccsvm --workload matmul --n 8 \

@@ -4,7 +4,7 @@
 # default (paper Table 2) machine shape, so any PR can replay a fixed
 # stimulus across protocols without first running a workload.
 #
-# Capture is deterministic (byte-identical at any --sim-threads), so
+# Capture is deterministic (byte-identical across runs), so
 # regeneration only changes the files when the simulator's timing or
 # the trace format changes — both of which are PR-visible events.
 #

@@ -7,13 +7,22 @@
  * state, L2 lines carry directory state); it owns only geometry,
  * lookup, allocation and victim selection. Lines carry real 64-byte
  * data blocks — the coherence protocol is functionally load-bearing.
+ *
+ * Storage comes in chunks of a few sets, allocated when a line is
+ * first placed in one of their sets. A machine then pays host memory
+ * and construction time only for the sets its workload touches, and
+ * every chunk of an array has one small size, so machines built one
+ * after another in a process reuse each other's freed chunks instead
+ * of fragmenting the heap with megabyte-sized arrays.
  */
 
 #ifndef CCSVM_CACHE_CACHE_ARRAY_HH
 #define CCSVM_CACHE_CACHE_ARRAY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "base/intmath.hh"
@@ -48,9 +57,8 @@ class CacheArray
                      "cache must have a power-of-two set count "
                      "(size=%llu assoc=%u)",
                      (unsigned long long)size_bytes, assoc);
-        ways_.resize(static_cast<std::size_t>(numSets_) * assoc_);
-        for (auto &w : ways_)
-            w.line.valid = false;
+        chunkSets_ = std::min(numSets_, kChunkSets);
+        chunks_.resize(numSets_ / chunkSets_);
         metas_.resize(assoc_);
     }
 
@@ -68,10 +76,12 @@ class CacheArray
     LineT *
     lookup(Addr block_addr)
     {
-        auto [base, end] = setRange(block_addr);
-        for (std::size_t i = base; i < end; ++i) {
-            if (ways_[i].line.valid && ways_[i].line.addr == block_addr)
-                return &ways_[i].line;
+        Way *set = setWays(setIndex(block_addr));
+        if (!set)
+            return nullptr;
+        for (unsigned i = 0; i < assoc_; ++i) {
+            if (set[i].line.valid && set[i].line.addr == block_addr)
+                return &set[i].line;
         }
         return nullptr;
     }
@@ -91,15 +101,19 @@ class CacheArray
     LineT *
     allocate(Addr block_addr)
     {
-        auto [base, end] = setRange(block_addr);
-        for (std::size_t i = base; i < end; ++i) {
-            if (!ways_[i].line.valid) {
-                ways_[i].line = LineT{};
-                ways_[i].line.valid = true;
-                ways_[i].line.addr = block_addr;
-                ways_[i].lastUse = ++useClock_;
-                ways_[i].allocSeq = ++allocClock_;
-                return &ways_[i].line;
+        const unsigned set_idx = setIndex(block_addr);
+        std::unique_ptr<Way[]> &chunk = chunks_[set_idx / chunkSets_];
+        if (!chunk)
+            chunk = std::make_unique<Way[]>(chunkWays());
+        Way *set = setWays(set_idx);
+        for (unsigned i = 0; i < assoc_; ++i) {
+            if (!set[i].line.valid) {
+                set[i].line = LineT{};
+                set[i].line.valid = true;
+                set[i].line.addr = block_addr;
+                set[i].lastUse = ++useClock_;
+                set[i].allocSeq = ++allocClock_;
+                return &set[i].line;
             }
         }
         return nullptr;
@@ -116,10 +130,12 @@ class CacheArray
     findVictim(Addr block_addr,
                const std::function<bool(const LineT &)> &evictable)
     {
-        auto [base, end] = setRange(block_addr);
-        for (std::size_t i = base; i < end; ++i) {
-            const auto &w = ways_[i];
-            WayMeta &m = metas_[i - base];
+        Way *set = setWays(setIndex(block_addr));
+        if (!set)
+            return nullptr; // no line was ever placed in this set
+        for (unsigned i = 0; i < assoc_; ++i) {
+            const Way &w = set[i];
+            WayMeta &m = metas_[i];
             m.candidate = w.line.valid && evictable(w.line);
             m.preferEvict = false;
             // Lines opt into the region policy's preference by
@@ -132,7 +148,7 @@ class CacheArray
         }
         const int way = replacer_.victimWay(metas_.data(), assoc_,
                                             setIndex(block_addr));
-        return way < 0 ? nullptr : &ways_[base + way].line;
+        return way < 0 ? nullptr : &set[way].line;
     }
 
     /** Drop @p line from the array. */
@@ -146,9 +162,11 @@ class CacheArray
     void
     forEach(const std::function<void(LineT &)> &fn)
     {
-        for (auto &w : ways_) {
-            if (w.line.valid)
-                fn(w.line);
+        for (auto &chunk : chunks_) {
+            for (std::size_t i = 0; chunk && i < chunkWays(); ++i) {
+                if (chunk[i].line.valid)
+                    fn(chunk[i].line);
+            }
         }
     }
 
@@ -157,8 +175,10 @@ class CacheArray
     countValid() const
     {
         unsigned n = 0;
-        for (const auto &w : ways_)
-            n += w.line.valid;
+        for (const auto &chunk : chunks_) {
+            for (std::size_t i = 0; chunk && i < chunkWays(); ++i)
+                n += chunk[i].line.valid;
+        }
         return n;
     }
 
@@ -170,18 +190,31 @@ class CacheArray
         std::uint64_t allocSeq = 0;
     };
 
-    std::pair<std::size_t, std::size_t>
-    setRange(Addr block_addr) const
+    /** Sets per storage chunk (fewer when the array is smaller). */
+    static constexpr unsigned kChunkSets = 16;
+
+    std::size_t
+    chunkWays() const
     {
-        const std::size_t base =
-            static_cast<std::size_t>(setIndex(block_addr)) * assoc_;
-        return {base, base + assoc_};
+        return static_cast<std::size_t>(chunkSets_) * assoc_;
+    }
+
+    /** The ways of set @p set, or nullptr while its chunk is
+     * unallocated (every line in it invalid). */
+    Way *
+    setWays(unsigned set) const
+    {
+        Way *chunk = chunks_[set / chunkSets_].get();
+        return chunk ? chunk + static_cast<std::size_t>(
+                                   set % chunkSets_) * assoc_
+                     : nullptr;
     }
 
     Way &
     wayOf(LineT *line)
     {
-        // Lines live inside ways_; recover the Way via offset math.
+        // Lines live inside a chunk's Ways; recover the Way via
+        // offset math.
         auto *way = reinterpret_cast<Way *>(
             reinterpret_cast<char *>(line) - offsetof(Way, line));
         return *way;
@@ -189,10 +222,11 @@ class CacheArray
 
     unsigned assoc_;
     unsigned numSets_;
+    unsigned chunkSets_;
     std::uint64_t useClock_ = 0;
     std::uint64_t allocClock_ = 0;
     Replacer replacer_;
-    std::vector<Way> ways_;
+    std::vector<std::unique_ptr<Way[]>> chunks_;
     std::vector<WayMeta> metas_; ///< per-set scratch for findVictim
 };
 

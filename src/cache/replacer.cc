@@ -101,8 +101,7 @@ Replacer::victimWay(const WayMeta *metas, unsigned assoc, unsigned set)
             return -1;
         // Deterministic per-set LCG (Knuth MMIX constants), seeded
         // from the config seed and the set index. Each array owns its
-        // replacer, so the stream is private to the owning partition
-        // and identical at any host thread count.
+        // replacer, so the stream is private to the array.
         if (rng_.size() <= set)
             rng_.resize(set + 1, 0);
         if (rng_[set] == 0)

@@ -11,8 +11,8 @@
  *           use clock)
  *   fifo    oldest allocation wins, touches don't refresh
  *   rand    uniform among candidates from a deterministic per-set
- *           LCG seeded from config — the same victim sequence at any
- *           --sim-threads and across runs
+ *           LCG seeded from config — the same victim sequence
+ *           across runs
  *   region  prefer evicting lines a workload marked as belonging to
  *           a non-default VM region class (bypass-adjacent or
  *           protocol-override/read-mostly data), falling back to LRU
@@ -75,9 +75,8 @@ struct WayMeta
 
 /**
  * Victim selection over one set's way metadata. Owned per CacheArray,
- * so the rand policy's per-set LCG state is private to the array's
- * partition and the sequence is deterministic at any host thread
- * count.
+ * so the rand policy's per-set LCG state is private to the array and
+ * the sequence is deterministic.
  */
 class Replacer
 {

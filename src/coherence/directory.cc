@@ -96,6 +96,9 @@ Directory::Directory(sim::EventQueue &eq, sim::StatRegistry &stats,
 void
 Directory::connectL1s(std::vector<L1Ref> l1s)
 {
+    ccsvm_assert(l1s.size() <= static_cast<std::size_t>(maxL1s),
+                 "%zu L1s exceed the %d-bit sharer mask", l1s.size(),
+                 maxL1s);
     l1s_ = std::move(l1s);
 }
 
@@ -178,7 +181,7 @@ Directory::funcWriteBlock(Addr block_addr, unsigned offset,
 }
 
 unsigned
-Directory::popcount(std::uint32_t m)
+Directory::popcount(std::uint64_t m)
 {
     return static_cast<unsigned>(std::popcount(m));
 }
@@ -517,7 +520,7 @@ Directory::processPutS(CohMsg &msg, L2Line *line)
     // while the put was in flight); ack unconditionally so the L1 can
     // retire its victim buffer.
     if (line)
-        line->sharers &= ~(1u << msg.sender);
+        line->sharers &= ~bit(msg.sender);
     sendPutAck(msg.blockAddr, msg.sender);
 }
 
@@ -557,7 +560,7 @@ Directory::processPutOwned(CohMsg &msg, L2Line *line)
         // target an L1 that holds nothing. (The sender cannot have
         // re-acquired the block: it blocks new requests until our
         // PutAck retires its victim buffer.)
-        line->sharers &= ~(1u << msg.sender);
+        line->sharers &= ~bit(msg.sender);
     }
     sendPutAck(msg.blockAddr, msg.sender);
 }
@@ -721,7 +724,7 @@ Directory::processUnblock(CohMsg &msg)
                          "dirty-shared Unblock under a pair without O");
             line->st = DirState::O;
             line->owner = txn.oldOwner;
-            line->sharers |= 1u << txn.requestor;
+            line->sharers |= bit(txn.requestor);
         } else {
             if (msg.hasData && msg.dirty) {
                 // No dirty sharing for this pair: the requestor
@@ -737,8 +740,8 @@ Directory::processUnblock(CohMsg &msg)
             // dirty data just came home); the L2 data is current.
             line->st = DirState::S;
             line->owner = noL1;
-            line->sharers |= 1u << txn.oldOwner;
-            line->sharers |= 1u << txn.requestor;
+            line->sharers |= bit(txn.oldOwner);
+            line->sharers |= bit(txn.requestor);
         }
     } else {
         // GetS served from the L2.
@@ -747,7 +750,7 @@ Directory::processUnblock(CohMsg &msg)
             line->owner = txn.requestor;
             line->sharers = 0;
         } else {
-            line->sharers |= 1u << txn.requestor;
+            line->sharers |= bit(txn.requestor);
         }
     }
 

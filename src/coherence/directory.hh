@@ -128,16 +128,18 @@ class Directory
                         const void *src, unsigned len);
 
   private:
-    /** L2 line with embedded directory state. */
+    /** L2 line with embedded directory state. The L2 arrays are a
+     * machine's largest allocation, so the fields are ordered (and
+     * the flags packed) to keep a line at 88 bytes. */
     struct L2Line
     {
         Addr addr = invalidAddr;
-        bool valid = false;
-        bool busy = false;   ///< transaction or recall in flight
-        bool dirty = false;  ///< L2 data newer than DRAM
-        DirState st = DirState::S;
+        std::uint64_t sharers = 0; ///< bit i = L1 i holds S (or O)
         L1Id owner = noL1;
-        std::uint32_t sharers = 0;
+        bool valid : 1 = false;
+        bool busy : 1 = false;  ///< transaction or recall in flight
+        bool dirty : 1 = false; ///< L2 data newer than DRAM
+        DirState st = DirState::S;
         /** Region class of the block, recorded from its requests. A
          * block belongs to exactly one VM region, so every request
          * agrees; ProtocolOverride lines resolve both ends of a
@@ -202,7 +204,8 @@ class Directory
     void absorbDirtyData(L2Line &line, const CohMsg &msg);
 
     // --- helpers ---
-    static unsigned popcount(std::uint32_t m);
+    static unsigned popcount(std::uint64_t m);
+    static std::uint64_t bit(L1Id id) { return std::uint64_t(1) << id; }
     bool isSharer(const L2Line &line, L1Id id) const;
     /** L1 @p id belongs to the MTTOP cluster (cluster split active
      * and id at or past the boundary). */

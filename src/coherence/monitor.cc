@@ -1,5 +1,7 @@
 #include "coherence/monitor.hh"
 
+#include <bit>
+
 #include "base/logging.hh"
 
 namespace ccsvm::coherence
@@ -8,11 +10,20 @@ namespace ccsvm::coherence
 void
 SwmrMonitor::onSetState(L1Id id, Addr block_addr, CohState s)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto &info = blocks_[block_addr];
+    ccsvm_assert(id >= 0 && id < maxL1s,
+                 "SWMR monitor: L1 %d outside the %d-bit reader mask",
+                 id, maxL1s);
+    auto it = blocks_.find(block_addr);
+    if (it == blocks_.end()) {
+        if (s == CohState::I)
+            return;
+        it = blocks_.emplace(block_addr, BlockInfo{}).first;
+    }
+    BlockInfo &info = it->second;
+    const std::uint64_t me = std::uint64_t(1) << id;
 
     // Remove any previous record for this L1 on this block.
-    info.readers.erase(id);
+    info.readers &= ~me;
     if (info.writer == id)
         info.writer = noL1;
     if (info.owner == id)
@@ -22,10 +33,10 @@ SwmrMonitor::onSetState(L1Id id, Addr block_addr, CohState s)
       case CohState::I:
         break;
       case CohState::S:
-        info.readers.insert(id);
+        info.readers |= me;
         break;
       case CohState::O:
-        info.readers.insert(id);
+        info.readers |= me;
         ccsvm_assert(info.owner == noL1,
                      "two owners for block 0x%llx: L1 %d and L1 %d",
                      (unsigned long long)block_addr, info.owner, id);
@@ -44,7 +55,9 @@ SwmrMonitor::onSetState(L1Id id, Addr block_addr, CohState s)
         info.writer = id;
         break;
     }
-    checkLocked(block_addr);
+    check(block_addr, info);
+    if (info.readers == 0 && info.writer == noL1)
+        blocks_.erase(it);
 }
 
 void
@@ -56,43 +69,38 @@ SwmrMonitor::onDrop(L1Id id, Addr block_addr)
 unsigned
 SwmrMonitor::holders(Addr block_addr) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     auto it = blocks_.find(block_addr);
     if (it == blocks_.end())
         return 0;
     const auto &info = it->second;
-    return static_cast<unsigned>(info.readers.size()) +
+    return static_cast<unsigned>(std::popcount(info.readers)) +
            (info.writer != noL1 ? 1u : 0u);
 }
 
 void
 SwmrMonitor::check(Addr block_addr) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    checkLocked(block_addr);
+    auto it = blocks_.find(block_addr);
+    if (it != blocks_.end())
+        check(block_addr, it->second);
 }
 
 void
-SwmrMonitor::checkLocked(Addr block_addr) const
+SwmrMonitor::check(Addr block_addr, const BlockInfo &info)
 {
-    auto it = blocks_.find(block_addr);
-    if (it == blocks_.end())
+    if (info.writer == noL1)
         return;
-    const auto &info = it->second;
-
-    if (info.writer != noL1) {
-        // A writer (E or M) must be the sole holder.
-        ccsvm_assert(info.readers.empty(),
-                     "SWMR violated: block 0x%llx has writer L1 %d and "
-                     "%zu readers",
-                     (unsigned long long)block_addr, info.writer,
-                     info.readers.size());
-        ccsvm_assert(info.owner == noL1,
-                     "SWMR violated: block 0x%llx has writer L1 %d and "
-                     "owner L1 %d",
-                     (unsigned long long)block_addr, info.writer,
-                     info.owner);
-    }
+    // A writer (E or M) must be the sole holder.
+    ccsvm_assert(info.readers == 0,
+                 "SWMR violated: block 0x%llx has writer L1 %d and "
+                 "%d readers",
+                 (unsigned long long)block_addr, info.writer,
+                 std::popcount(info.readers));
+    ccsvm_assert(info.owner == noL1,
+                 "SWMR violated: block 0x%llx has writer L1 %d and "
+                 "owner L1 %d",
+                 (unsigned long long)block_addr, info.writer,
+                 info.owner);
 }
 
 } // namespace ccsvm::coherence

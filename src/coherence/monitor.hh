@@ -12,8 +12,8 @@
 #ifndef CCSVM_COHERENCE_MONITOR_HH
 #define CCSVM_COHERENCE_MONITOR_HH
 
-#include <mutex>
-#include <set>
+#include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 
 #include "base/types.hh"
@@ -39,26 +39,20 @@ class SwmrMonitor
      * update); exposed for tests. */
     void check(Addr block_addr) const;
 
+    /** Blocks held by at least one L1. A block no L1 holds is
+     * forgotten, so this returns to 0 once every copy is dropped. */
+    std::size_t trackedBlocks() const { return blocks_.size(); }
+
   private:
     struct BlockInfo
     {
-        std::set<L1Id> readers; ///< S and O holders
-        L1Id writer = noL1;     ///< E or M holder
-        L1Id owner = noL1;      ///< O holder (also in readers)
+        std::uint64_t readers = 0; ///< bit i = L1 i holds S or O
+        L1Id writer = noL1;        ///< E or M holder
+        L1Id owner = noL1;         ///< O holder (also in readers)
     };
 
-    void checkLocked(Addr block_addr) const;
+    static void check(Addr block_addr, const BlockInfo &info);
 
-    /**
-     * L1s in different partitions update the monitor concurrently
-     * within a conservative window. That is safe to serialize with a
-     * lock (not order-sensitive): a writer in one partition and a
-     * reader in another can only both hold permission if the
-     * protocol itself broke SWMR, because any permission transfer
-     * between partitions takes at least one NoC hop and therefore
-     * lands in a later window.
-     */
-    mutable std::mutex mu_;
     std::unordered_map<Addr, BlockInfo> blocks_;
 };
 

@@ -56,6 +56,8 @@ const char *dirStateName(DirState s);
 /** Identifier of an L1 cache controller within one machine. */
 using L1Id = int;
 inline constexpr L1Id noL1 = -1;
+/** Most L1s one directory can track: sharer sets are 64-bit masks. */
+inline constexpr int maxL1s = 64;
 
 /**
  * Selectable coherence protocols, ordered weakest to strongest.

@@ -22,7 +22,7 @@ CpuCore::CpuCore(sim::EventQueue &eq, sim::StatRegistry &stats,
                             "page faults taken")),
       trc_(stats.tracer()), lane_(stats.tracer().lane(name))
 {
-    kernel.registerCpuTlb(&tlb_, &eq);
+    kernel.registerCpuTlb(&tlb_);
 }
 
 void

@@ -1,7 +1,5 @@
 #include "core/mttop_core.hh"
 
-#include "sim/parteventq.hh"
-
 namespace ccsvm::core
 {
 
@@ -27,7 +25,7 @@ MttopCore::MttopCore(sim::EventQueue &eq, sim::StatRegistry &stats,
     slots_.reserve(cfg.numContexts);
     for (unsigned i = 0; i < cfg.numContexts; ++i)
         slots_.push_back(std::make_unique<Slot>());
-    kernel.registerMttopTlb(&tlb_, &eq);
+    kernel.registerMttopTlb(&tlb_);
 }
 
 void
@@ -85,18 +83,8 @@ MttopCore::onThreadDone(ThreadContext &tc)
         ++freeSlots_;
         auto state = std::move(slot->state);
         slot->desc.reset();
-        if (state && --state->remaining == 0 && state->onComplete) {
-            // Task-completion bookkeeping belongs to the launching
-            // side; relay it to its partition when one is wired.
-            if (doneq_ && sim::crossPartition(*doneq_)) {
-                sim::postToPartition(*doneq_,
-                                     [cb = state->onComplete] {
-                                         cb();
-                                     });
-            } else {
-                state->onComplete();
-            }
-        }
+        if (state && --state->remaining == 0 && state->onComplete)
+            state->onComplete();
         if (mifd_)
             mifd_->notifyContextsFreed(mifdPort_);
         return;

@@ -62,15 +62,6 @@ class MttopCore : public CoreModel
         mifdPort_ = port;
     }
 
-    /**
-     * Queue whose partition owns task-completion callbacks
-     * (TaskState::onComplete). Launch-side bookkeeping lives with the
-     * launching CPU cores, so under a PartEngine completions are
-     * relayed there instead of running in the MTTOP partition. Null
-     * (the default) runs them inline.
-     */
-    void setCompletionQueue(sim::EventQueue *q) { doneq_ = q; }
-
     unsigned freeContexts() const { return freeSlots_; }
     unsigned totalContexts() const { return cfg_.numContexts; }
 
@@ -78,7 +69,7 @@ class MttopCore : public CoreModel
      * Trace-capture hook: resolves the op sink for a freshly assigned
      * thread (keyed by its task's captureId and tid). While set, every
      * assignChunk consults it; a null hook (or a null result) leaves
-     * the context sink-free. Runs in this core's partition.
+     * the context sink-free.
      */
     using CaptureHook =
         std::function<OpSink *(const TaskDescriptor &, ThreadId)>;
@@ -123,7 +114,6 @@ class MttopCore : public CoreModel
     vm::Tlb tlb_;
     MifdIface *mifd_ = nullptr;
     unsigned mifdPort_ = 0;
-    sim::EventQueue *doneq_ = nullptr;
     CaptureHook captureHook_;
 
     std::vector<std::unique_ptr<Slot>> slots_;

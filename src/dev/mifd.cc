@@ -44,13 +44,6 @@ Mifd::totalFreeContexts() const
 void
 Mifd::submitTask(core::TaskDescriptor desc)
 {
-    if (sim::crossPartition(*eq_)) {
-        sim::postToPartition(*eq_,
-                             [this, desc = std::move(desc)]() mutable {
-                                 submitTask(std::move(desc));
-                             });
-        return;
-    }
     // The device itself serializes descriptor handling.
     const Tick start = std::max(eq_->now(), deviceFree_);
     deviceFree_ = start + cfg_.taskAcceptLatency;
@@ -127,9 +120,7 @@ Mifd::dispatch()
         ctxFree_[chosen] -= chunk.count;
 
         // Device occupancy per dispatch, then the descriptor write
-        // travels to the MTTOP core over the interconnect. The
-        // delivery closure runs in the MTTOP core's partition and
-        // touches only the core, never the device.
+        // travels to the MTTOP core over the interconnect.
         const Tick start = std::max(eq_->now(), deviceFree_);
         deviceFree_ = start + cfg_.chunkDispatchLatency;
         if (trc_.enabled(sim::traceKernel))
@@ -154,17 +145,6 @@ Mifd::dispatch()
 void
 Mifd::notifyContextsFreed(unsigned port)
 {
-    if (sim::crossPartition(*eq_)) {
-        sim::postToPartition(*eq_,
-                             [this, port] { freedLocal(port); });
-        return;
-    }
-    freedLocal(port);
-}
-
-void
-Mifd::freedLocal(unsigned port)
-{
     ccsvm_assert(port < ctxFree_.size(), "freed on unknown port %u",
                  port);
     ++ctxFree_[port];
@@ -185,21 +165,6 @@ void
 Mifd::relayPageFault(runtime::Process &proc, vm::VAddr va,
                      std::function<void()> retry)
 {
-    if (sim::crossPartition(*eq_)) {
-        // Hop to the device's partition; the faulting core retries in
-        // its own partition once the kernel has serviced the fault.
-        sim::EventQueue *src = sim::activeQueue();
-        sim::postToPartition(
-            *eq_, [this, &proc, va, src,
-                   cb = std::move(retry)]() mutable {
-                relayPageFault(proc, va,
-                               [src, cb = std::move(cb)]() mutable {
-                                   sim::postToPartition(
-                                       *src, std::move(cb));
-                               });
-            });
-        return;
-    }
     ++faultRelays_;
     if (trc_.enabled(sim::traceVm))
         trc_.complete(sim::traceVm, lane_, "faultRelay", eq_->now(),

@@ -25,7 +25,6 @@
 #include "core/mttop_core.hh"
 #include "noc/network.hh"
 #include "sim/eventq.hh"
-#include "sim/parteventq.hh"
 #include "sim/stats.hh"
 #include "vm/kernel.hh"
 
@@ -68,10 +67,7 @@ class Mifd : public core::MifdIface
     std::uint64_t errorRegister() const { return errorReg_; }
     void clearErrorRegister() { errorReg_ = 0; }
 
-    // MifdIface. All three entry points may be called from another
-    // partition (CPU syscall, MTTOP fault/completion); each routes
-    // itself onto the device's own queue so the pending queue, the
-    // context mirror, and deviceFree_ are touched only there.
+    // MifdIface.
     void submitTask(core::TaskDescriptor desc) override;
     void relayPageFault(runtime::Process &proc, vm::VAddr va,
                         std::function<void()> retry) override;
@@ -88,7 +84,6 @@ class Mifd : public core::MifdIface
 
     void acceptTask(core::TaskDescriptor desc);
     void dispatch();
-    void freedLocal(unsigned port);
     unsigned totalFreeContexts() const;
 
     sim::EventQueue *eq_;
@@ -101,9 +96,8 @@ class Mifd : public core::MifdIface
     std::deque<Chunk> pending_;
     /** Device-side mirror of free contexts per core: decremented when
      * a chunk is dispatched, incremented when a core reports a freed
-     * context. Replaces live freeContexts() polls (which would race
-     * across partitions) and subsumes the old in-flight reservation:
-     * the mirror already discounts dispatched-but-unassigned chunks. */
+     * context, so it already discounts dispatched-but-unassigned
+     * chunks. */
     std::vector<unsigned> ctxFree_;
     std::size_t rrNext_ = 0;
     Tick deviceFree_ = 0;

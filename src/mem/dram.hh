@@ -18,7 +18,6 @@
 
 #include "base/types.hh"
 #include "sim/eventq.hh"
-#include "sim/parteventq.hh"
 #include "sim/stats.hh"
 
 namespace ccsvm::mem
@@ -57,46 +56,13 @@ class DramCtrl
 
     /**
      * Issue one transaction of @p bytes at the controller.
-     *
-     * Under a PartEngine, the channel-reservation state lives in the
-     * controller's own partition: a request from another partition
-     * (a directory bank, a walker) is routed there over the
-     * conservative horizon and the completion is routed back to the
-     * caller's partition, so `channelFree_` is only ever touched in
-     * deterministic partition-local order. Standalone (and
-     * same-partition) callers keep the direct call.
-     *
      * @param is_write direction of the transfer
-     * @param on_done invoked, in the caller's partition, when the
-     *        data (read) or the completion ack (write) is available
+     * @param on_done invoked when the data (read) or the completion
+     *        ack (write) is available
      */
     void
     access(bool is_write, unsigned bytes,
            std::function<void()> on_done)
-    {
-        if (!sim::crossPartition(*eq_)) {
-            accessLocal(is_write, bytes, std::move(on_done));
-            return;
-        }
-        sim::EventQueue *src = sim::activeQueue();
-        sim::postToPartition(
-            *eq_, [this, is_write, bytes, src,
-                   cb = std::move(on_done)]() mutable {
-                accessLocal(is_write, bytes,
-                            [src, cb = std::move(cb)]() mutable {
-                                sim::postToPartition(*src,
-                                                     std::move(cb));
-                            });
-            });
-    }
-
-    std::uint64_t reads() const { return reads_.value(); }
-    std::uint64_t writes() const { return writes_.value(); }
-
-  private:
-    void
-    accessLocal(bool is_write, unsigned bytes,
-                std::function<void()> on_done)
     {
         if (is_write)
             ++writes_;
@@ -111,6 +77,10 @@ class DramCtrl
         eq_->schedule(done, std::move(on_done));
     }
 
+    std::uint64_t reads() const { return reads_.value(); }
+    std::uint64_t writes() const { return writes_.value(); }
+
+  private:
     Tick
     serializationTicks(unsigned bytes) const
     {

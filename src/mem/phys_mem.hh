@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 
 #include "base/logging.hh"
@@ -137,17 +136,9 @@ class PhysMem
                      (unsigned long long)pa, len);
     }
 
-    // The frame map is shared by every partition (one 4 KiB frame's
-    // 64-byte blocks hash to all directory banks), so lazy
-    // allocation takes a lock. Frame storage itself is stable once
-    // allocated (the map rehashing moves the unique_ptr, not the
-    // Frame), and the coherence protocol guarantees no two
-    // partitions touch the same block's bytes concurrently, so data
-    // copies stay outside the lock.
     const Frame *
     findFrame(Addr fn) const
     {
-        std::lock_guard<std::mutex> lk(mu_);
         auto it = frames_.find(fn);
         return it == frames_.end() ? nullptr : it->second.get();
     }
@@ -155,7 +146,6 @@ class PhysMem
     Frame &
     frame(Addr fn)
     {
-        std::lock_guard<std::mutex> lk(mu_);
         auto &slot = frames_[fn];
         if (!slot) {
             slot = std::make_unique<Frame>();
@@ -165,7 +155,6 @@ class PhysMem
     }
 
     Addr size_;
-    mutable std::mutex mu_;
     std::unordered_map<Addr, std::unique_ptr<Frame>> frames_;
 };
 

@@ -1,6 +1,5 @@
 #include "noc/torus.hh"
 
-#include "base/intmath.hh"
 #include "base/logging.hh"
 
 namespace ccsvm::noc
@@ -41,31 +40,6 @@ ringDelta(int a, int b, int n)
 }
 
 } // namespace
-
-void
-TorusNetwork::setNodeQueues(std::vector<sim::EventQueue *> queues)
-{
-    ccsvm_assert(queues.empty() ||
-                     static_cast<int>(queues.size()) == numNodes(),
-                 "setNodeQueues: need one queue per node");
-    nodeQ_ = std::move(queues);
-}
-
-sim::EventQueue *
-TorusNetwork::queueAt(NodeId n) const
-{
-    return nodeQ_.empty() ? eq_ : nodeQ_[n];
-}
-
-Tick
-TorusNetwork::edgeAt(const sim::EventQueue *q, Cycles cycles) const
-{
-    // Same alignment rule as ClockDomain::clockEdge, but against the
-    // partition queue that is actually executing the hop.
-    const Tick aligned =
-        divCeil(q->now(), cfg_.clockPeriod) * cfg_.clockPeriod;
-    return aligned + cycles * cfg_.clockPeriod;
-}
 
 NodeId
 TorusNetwork::nextHop(NodeId at, NodeId dst) const
@@ -129,7 +103,7 @@ TorusNetwork::serializationTicks(unsigned bytes) const
 }
 
 void
-TorusNetwork::send(NodeId src, NodeId dst, VNet vnet, unsigned bytes,
+TorusNetwork::send(NodeId src, NodeId dst, VNet, unsigned bytes,
                    Deliver deliver)
 {
     ccsvm_assert(src >= 0 && src < numNodes(), "bad src node %d", src);
@@ -138,76 +112,58 @@ TorusNetwork::send(NodeId src, NodeId dst, VNet vnet, unsigned bytes,
     ++packets_;
     bytes_ += bytes;
 
-    // Injection runs in the source node's partition: every component
-    // sends from its own node. The per-hop events that follow run in
-    // the partition of the router they traverse.
-    sim::EventQueue *q = queueAt(src);
-    ccsvm_assert(nodeQ_.empty() || sim::activeQueue() == q,
-                 "torus send from outside node %d's partition", src);
-
-    Packet pkt{dst, bytes, vnet, std::move(deliver)};
-    const Tick start = q->now();
+    PacketId id;
+    if (freeSlots_.empty()) {
+        id = static_cast<PacketId>(inFlight_.size());
+        inFlight_.emplace_back();
+    } else {
+        id = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    inFlight_[id] = Packet{dst, bytes, eq_->now(), std::move(deliver)};
     if (src == dst) {
         // Local delivery still pays one router traversal.
-        q->schedule(edgeAt(q, cfg_.hopLatency),
-                    [this, pkt = std::move(pkt), start,
-                     src]() mutable {
-                        latency_.record(static_cast<double>(
-                            nowAt(src) - start));
-                        if (trc_.enabled(sim::traceNoc))
-                            trc_.complete(sim::traceNoc, lane_, "pkt",
-                                          start, nowAt(src),
-                                          pkt.bytes);
-                        pkt.deliver();
-                    },
-                    sim::prioNetwork);
+        eq_->schedule(clock_.clockEdge(cfg_.hopLatency),
+                      [this, id] { arrive(id); }, sim::prioNetwork);
         return;
     }
-    // Tag the packet with its injection time via a wrapper closure.
-    // The record runs at delivery, in the destination's partition.
-    auto done = [this, inner = std::move(pkt.deliver), start, dst,
-                 bytes]() {
-        latency_.record(static_cast<double>(nowAt(dst) - start));
-        if (trc_.enabled(sim::traceNoc))
-            trc_.complete(sim::traceNoc, lane_, "pkt", start,
-                          nowAt(dst), bytes);
-        inner();
-    };
-    pkt.deliver = std::move(done);
-    forward(std::move(pkt), src);
+    forward(id, src);
 }
 
 void
-TorusNetwork::forward(Packet pkt, NodeId at)
+TorusNetwork::forward(PacketId id, NodeId at)
 {
+    const Packet &pkt = inFlight_[id];
     if (at == pkt.dst) {
-        pkt.deliver();
+        arrive(id);
         return;
     }
     const NodeId next = nextHop(at, pkt.dst);
     const int link = linkIndex(at, next);
 
-    sim::EventQueue *q = queueAt(at);
     const Tick ser = serializationTicks(pkt.bytes);
-    const Tick depart = std::max(edgeAt(q), linkFree_[link]);
+    const Tick depart = std::max(clock_.clockEdge(), linkFree_[link]);
     linkFree_[link] = depart + ser;
-    const Tick arrive =
+    const Tick arrival =
         depart + ser + clock_.cyclesToTicks(cfg_.hopLatency);
     ++hops_;
 
-    auto hop = [this, pkt = std::move(pkt), next]() mutable {
-        forward(std::move(pkt), next);
-    };
-    sim::EventQueue *nq = queueAt(next);
-    if (nq == q) {
-        q->schedule(arrive, std::move(hop), sim::prioNetwork);
-    } else {
-        // arrive >= now + serialization (>= 1) + hopLatency ticks, so
-        // it always clears the engine's conservative horizon (the
-        // lookahead is exactly the hop-latency floor).
-        q->engine()->post(*nq, arrive, std::move(hop),
-                          sim::prioNetwork);
-    }
+    eq_->schedule(arrival, [this, id, next] { forward(id, next); },
+                  sim::prioNetwork);
+}
+
+void
+TorusNetwork::arrive(PacketId id)
+{
+    Packet &pkt = inFlight_[id];
+    latency_.record(static_cast<double>(eq_->now() - pkt.start));
+    if (trc_.enabled(sim::traceNoc))
+        trc_.complete(sim::traceNoc, lane_, "pkt", pkt.start,
+                      eq_->now(), pkt.bytes);
+    // Free the slot first: delivering may send (and so reuse it).
+    Deliver deliver = std::move(pkt.deliver);
+    freeSlots_.push_back(id);
+    deliver();
 }
 
 } // namespace ccsvm::noc

@@ -13,6 +13,7 @@
 #ifndef CCSVM_NOC_TORUS_HH
 #define CCSVM_NOC_TORUS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,6 @@
 #include "noc/network.hh"
 #include "sim/clock.hh"
 #include "sim/eventq.hh"
-#include "sim/parteventq.hh"
 #include "sim/stats.hh"
 
 namespace ccsvm::noc
@@ -49,17 +49,6 @@ class TorusNetwork : public Network
     int numNodes() const override { return cfg_.width * cfg_.height; }
 
     /**
-     * Partition mode: give every node its owning partition queue.
-     * A packet's per-hop events then run in the partition of the
-     * router they traverse (cross-partition hops go through
-     * PartEngine::post, which the hop-latency floor makes legal),
-     * and the final delivery runs in the destination node's
-     * partition. An empty vector (the default) keeps the legacy
-     * single-queue mode.
-     */
-    void setNodeQueues(std::vector<sim::EventQueue *> queues);
-
-    /**
      * Next hop from @p at toward @p dst under XY dimension-order
      * routing with shortest wrap. Exposed for unit tests.
      */
@@ -69,37 +58,35 @@ class TorusNetwork : public Network
     int hopCount(NodeId src, NodeId dst) const;
 
   private:
+    /** An in-flight packet. It waits in inFlight_ while its hop
+     * events carry only its slot index, so each per-hop closure fits
+     * std::function's inline buffer and schedules without allocating. */
     struct Packet
     {
-        NodeId dst;
-        unsigned bytes;
-        VNet vnet;
+        NodeId dst = 0;
+        unsigned bytes = 0;
+        Tick start = 0; ///< injection tick
         Deliver deliver;
     };
+    using PacketId = std::uint32_t;
 
     /** Directional link index from @p from to adjacent @p to. */
     int linkIndex(NodeId from, NodeId to) const;
 
-    /** Advance @p pkt from node @p at; called once per hop. */
-    void forward(Packet pkt, NodeId at);
+    /** Advance packet @p id from node @p at; called once per hop. */
+    void forward(PacketId id, NodeId at);
+    /** Record packet @p id's latency, free its slot and deliver it. */
+    void arrive(PacketId id);
 
     Tick serializationTicks(unsigned bytes) const;
-
-    /** Queue whose partition owns node @p n (eq_ in legacy mode). */
-    sim::EventQueue *queueAt(NodeId n) const;
-    /** Current time at node @p n's queue. */
-    Tick nowAt(NodeId n) const { return queueAt(n)->now(); }
-    /** Next NoC clock edge (+ @p cycles) as seen from @p q. */
-    Tick edgeAt(const sim::EventQueue *q, Cycles cycles = 0) const;
 
     sim::EventQueue *eq_;
     TorusConfig cfg_;
     sim::ClockDomain clock_;
-    /** Per-node partition queues; empty = legacy single queue. */
-    std::vector<sim::EventQueue *> nodeQ_;
-    /** busy-until tick per directional link (4 per node: +X -X +Y -Y).
-     * Link at*4+dir is only touched by node @p at's partition. */
+    /** busy-until tick per directional link (4 per node: +X -X +Y -Y). */
     std::vector<Tick> linkFree_;
+    std::vector<Packet> inFlight_;
+    std::vector<PacketId> freeSlots_;
 
     sim::Counter &packets_;
     sim::Counter &bytes_;

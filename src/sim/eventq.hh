@@ -2,13 +2,12 @@
  * @file
  * The discrete-event simulation kernel.
  *
- * An EventQueue orders the simulated work of one partition (or, for
- * standalone components and the APU machine, of a whole machine).
- * Ticks are picoseconds; events at equal ticks are ordered by
+ * An EventQueue orders the simulated work of one whole machine (the
+ * CCSVM chip, the APU baseline) or of a standalone component under
+ * test. Ticks are picoseconds; events at equal ticks are ordered by
  * (priority, insertion sequence) so simulations are fully
- * deterministic. A queue is single-threaded; concurrency comes from
- * sim::PartEngine running several queues in conservative windows
- * (see parteventq.hh).
+ * deterministic. A queue is single-threaded; host parallelism comes
+ * from running independent machines side by side (sim::SweepRunner).
  */
 
 #ifndef CCSVM_SIM_EVENTQ_HH
@@ -26,8 +25,6 @@
 
 namespace ccsvm::sim
 {
-
-class PartEngine;
 
 /** Default event priorities; lower values run first within a tick. */
 enum : int
@@ -60,21 +57,6 @@ class EventQueue
     bool empty() const { return heap_.empty(); }
     std::size_t size() const { return heap_.size(); }
 
-    /** Largest number of pending events ever held. */
-    std::size_t highWaterMark() const { return highWater_; }
-
-    /**
-     * Pre-size the heap: reserve space for @p hint entries, or for
-     * the observed high-water mark if that is larger. Benches and
-     * the partition engine call this so steady-state scheduling
-     * never reallocates.
-     */
-    void
-    reserve(std::size_t hint = 0)
-    {
-        heap_.reserve(std::max(hint, highWater_));
-    }
-
     /**
      * Schedule @p cb to run at absolute time @p when.
      *
@@ -90,13 +72,9 @@ class EventQueue
         ccsvm_assert(when >= now_,
                      "scheduling in the past: when=%llu now=%llu",
                      (unsigned long long)when, (unsigned long long)now_);
-        if (heap_.size() == heap_.capacity())
-            heap_.reserve(std::max<std::size_t>(
-                64, std::max(highWater_, 2 * heap_.size())));
         heap_.push_back(
             Entry{when, priority, seq_++, std::forward<F>(cb)});
-        std::push_heap(heap_.begin(), heap_.end(), Entry::later);
-        highWater_ = std::max(highWater_, heap_.size());
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
 
     /** Schedule @p cb to run @p delta ticks from now. */
@@ -122,7 +100,7 @@ class EventQueue
         // comparator tolerating a moved-from std::function. The entry
         // is fully moved out before cb() runs, since running it may
         // schedule (and so reallocate the heap).
-        std::pop_heap(heap_.begin(), heap_.end(), Entry::later);
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
         Entry e = std::move(heap_.back());
         heap_.pop_back();
         now_ = e.when;
@@ -162,17 +140,6 @@ class EventQueue
         return false;
     }
 
-    /**
-     * Run every event strictly before @p end (one conservative time
-     * window). Events an event schedules inside the window run too.
-     */
-    void
-    runWindow(Tick end)
-    {
-        while (!heap_.empty() && heap_.front().when < end)
-            runOne();
-    }
-
     /** Timestamp of the earliest pending event, or maxTick. */
     Tick
     peekWhen() const
@@ -180,25 +147,22 @@ class EventQueue
         return heap_.empty() ? maxTick : heap_.front().when;
     }
 
-    /** Partition engine this queue belongs to (null standalone). */
-    PartEngine *engine() const { return engine_; }
-    /** Partition index within the engine (0 standalone). */
-    int partition() const { return part_; }
-
   private:
-    friend class PartEngine;
-
     struct Entry
     {
         Tick when;
         int priority;
         std::uint64_t seq;
         Callback cb;
+    };
 
-        /** Heap order: a runs after b. std::*_heap with this
-         * comparator keeps the earliest event at the front. */
-        static bool
-        later(const Entry &a, const Entry &b)
+    /** Heap order: a runs after b. std::*_heap with this comparator
+     * keeps the earliest event at the front. A function object, not
+     * a function pointer, so the heap algorithms inline it. */
+    struct Later
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -208,18 +172,12 @@ class EventQueue
         }
     };
 
-    /** Min-heap over Entry::later, managed with std::push_heap /
+    /** Min-heap over Later, managed with std::push_heap /
      * std::pop_heap; front() is the earliest event. */
     std::vector<Entry> heap_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
-    std::size_t highWater_ = 0;
-
-    /** Set by PartEngine::adopt; stamps cross-partition sends. */
-    PartEngine *engine_ = nullptr;
-    int part_ = 0;
-    std::uint64_t crossSeq_ = 0;
 };
 
 } // namespace ccsvm::sim

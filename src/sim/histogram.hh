@@ -8,11 +8,6 @@
  * distribution. A histogram with power-of-two buckets covers the full
  * Tick range at fixed memory cost and gives percentiles by linear
  * interpolation inside the containing bucket.
- *
- * Samples accumulate into per-partition shards exactly like
- * Distribution: bucket counts are integers (commute), the running sum
- * is a double folded in fixed shard order, so results are
- * byte-identical at any --sim-threads value.
  */
 
 #ifndef CCSVM_SIM_HISTOGRAM_HH
@@ -23,8 +18,6 @@
 #include <bit>
 #include <cstdint>
 #include <string>
-
-#include "sim/parteventq.hh"
 
 namespace ccsvm::sim
 {
@@ -53,56 +46,18 @@ class LatencyHistogram
     void
     record(std::uint64_t v)
     {
-        Shard &s = shards_[activePartition()];
-        ++s.count;
-        s.sum += static_cast<double>(v);
-        s.min = std::min(s.min, v);
-        s.max = std::max(s.max, v);
-        ++s.buckets[bucketOf(v)];
+        ++count_;
+        sum_ += static_cast<double>(v);
+        min_ = std::min(min_, v);
+        max_ = std::max(max_, v);
+        ++buckets_[bucketOf(v)];
     }
 
-    std::uint64_t
-    count() const
-    {
-        std::uint64_t n = 0;
-        for (const Shard &s : shards_)
-            n += s.count;
-        return n;
-    }
-
-    double
-    sum() const
-    {
-        double v = 0;
-        for (const Shard &s : shards_)
-            v += s.sum;
-        return v;
-    }
-
-    double mean() const { const auto n = count(); return n ? sum() / n : 0.0; }
-
-    std::uint64_t
-    minValue() const
-    {
-        std::uint64_t v = ~std::uint64_t(0);
-        bool any = false;
-        for (const Shard &s : shards_)
-            if (s.count) {
-                v = std::min(v, s.min);
-                any = true;
-            }
-        return any ? v : 0;
-    }
-
-    std::uint64_t
-    maxValue() const
-    {
-        std::uint64_t v = 0;
-        for (const Shard &s : shards_)
-            if (s.count)
-                v = std::max(v, s.max);
-        return v;
-    }
+    std::uint64_t count() const { return count_; }
+    double sum() const { return sum_; }
+    double mean() const { return count_ ? sum_ / count_ : 0.0; }
+    std::uint64_t minValue() const { return count_ ? min_ : 0; }
+    std::uint64_t maxValue() const { return max_; }
 
     /**
      * The @p p-th percentile (p in [0, 100]), linearly interpolated
@@ -113,21 +68,15 @@ class LatencyHistogram
     double
     percentile(double p) const
     {
-        const std::uint64_t n = count();
-        if (n == 0)
+        if (count_ == 0)
             return 0.0;
-        std::array<std::uint64_t, kBuckets> total{};
-        for (const Shard &s : shards_)
-            for (unsigned b = 0; b < kBuckets; ++b)
-                total[b] += s.buckets[b];
-
         const double target =
-            std::max(1.0, p / 100.0 * static_cast<double>(n));
+            std::max(1.0, p / 100.0 * static_cast<double>(count_));
         double cum = 0;
         for (unsigned b = 0; b < kBuckets; ++b) {
-            if (total[b] == 0)
+            if (buckets_[b] == 0)
                 continue;
-            const double cnt = static_cast<double>(total[b]);
+            const double cnt = static_cast<double>(buckets_[b]);
             if (cum + cnt >= target) {
                 const double lo =
                     b == 0 ? 0.0
@@ -148,41 +97,35 @@ class LatencyHistogram
     void
     reset()
     {
-        for (Shard &s : shards_)
-            s = Shard{};
+        count_ = 0;
+        sum_ = 0;
+        min_ = ~std::uint64_t(0);
+        max_ = 0;
+        buckets_ = {};
     }
 
-    /** Fold another histogram in, shard-by-shard (see Distribution). */
+    /** Fold another histogram's samples into this one. */
     void
     merge(const LatencyHistogram &o)
     {
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            const Shard &os = o.shards_[i];
-            if (os.count == 0)
-                continue;
-            Shard &s = shards_[i];
-            s.count += os.count;
-            s.sum += os.sum;
-            s.min = std::min(s.min, os.min);
-            s.max = std::max(s.max, os.max);
-            for (unsigned b = 0; b < kBuckets; ++b)
-                s.buckets[b] += os.buckets[b];
-        }
+        if (o.count_ == 0)
+            return;
+        count_ += o.count_;
+        sum_ += o.sum_;
+        min_ = std::min(min_, o.min_);
+        max_ = std::max(max_, o.max_);
+        for (unsigned b = 0; b < kBuckets; ++b)
+            buckets_[b] += o.buckets_[b];
     }
 
   private:
-    struct Shard
-    {
-        std::uint64_t count = 0;
-        double sum = 0;
-        std::uint64_t min = ~std::uint64_t(0);
-        std::uint64_t max = 0;
-        std::array<std::uint64_t, kBuckets> buckets{};
-    };
-
     std::string name_;
     std::string desc_;
-    std::array<Shard, PartEngine::kMaxPartitions> shards_{};
+    std::uint64_t count_ = 0;
+    double sum_ = 0;
+    std::uint64_t min_ = ~std::uint64_t(0);
+    std::uint64_t max_ = 0;
+    std::array<std::uint64_t, kBuckets> buckets_{};
 };
 
 } // namespace ccsvm::sim

@@ -8,8 +8,6 @@
 #define CCSVM_SIM_STATS_HH
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -19,7 +17,6 @@
 
 #include "base/logging.hh"
 #include "sim/histogram.hh"
-#include "sim/parteventq.hh"
 #include "sim/trace.hh"
 
 namespace ccsvm::sim
@@ -70,15 +67,7 @@ jsonNumber(double x)
     return buf;
 }
 
-/**
- * Monotonically increasing event counter.
- *
- * Increments are relaxed atomics: integer sums commute, so a counter
- * shared across partition queues (e.g. the torus packet counters)
- * stays deterministic at any host thread count. Reads during a
- * window see the owner partition's own increments exactly; totals
- * are read at barriers or after the run.
- */
+/** Monotonically increasing event counter. */
 class Counter
 {
   public:
@@ -89,45 +78,30 @@ class Counter
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
 
-    std::uint64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { value_.store(0, std::memory_order_relaxed); }
+    std::uint64_t value() const { return value_; }
+    void reset() { value_ = 0; }
 
     Counter &
     operator++()
     {
-        value_.fetch_add(1, std::memory_order_relaxed);
+        ++value_;
         return *this;
     }
 
     Counter &
     operator+=(std::uint64_t n)
     {
-        value_.fetch_add(n, std::memory_order_relaxed);
+        value_ += n;
         return *this;
     }
 
   private:
     std::string name_;
     std::string desc_;
-    std::atomic<std::uint64_t> value_{0};
+    std::uint64_t value_ = 0;
 };
 
-/**
- * Running distribution: count, min, max, mean.
- *
- * Samples accumulate into per-partition shards (indexed by the
- * executing event's partition, shard 0 outside an engine) and are
- * folded in fixed shard order on read. Double addition is not
- * associative, so sharding — not atomics — is what keeps sums
- * byte-identical at any host thread count when a distribution is
- * recorded from several partitions (e.g. the torus latency stat,
- * recorded at each destination node).
- */
+/** Running distribution: count, min, max, mean. */
 class Distribution
 {
   public:
@@ -141,89 +115,46 @@ class Distribution
     void
     record(double x)
     {
-        Shard &s = shards_[activePartition()];
-        ++s.count;
-        s.sum += x;
-        s.min = std::min(s.min, x);
-        s.max = std::max(s.max, x);
+        ++count_;
+        sum_ += x;
+        min_ = std::min(min_, x);
+        max_ = std::max(max_, x);
     }
 
-    std::uint64_t
-    count() const
-    {
-        std::uint64_t n = 0;
-        for (const Shard &s : shards_)
-            n += s.count;
-        return n;
-    }
-
-    double
-    sum() const
-    {
-        double v = 0;
-        for (const Shard &s : shards_)
-            v += s.sum;
-        return v;
-    }
-
-    double mean() const { const auto n = count(); return n ? sum() / n : 0.0; }
-
-    double
-    minValue() const
-    {
-        double v = 1e300;
-        for (const Shard &s : shards_)
-            if (s.count)
-                v = std::min(v, s.min);
-        return v == 1e300 ? 0.0 : v;
-    }
-
-    double
-    maxValue() const
-    {
-        double v = -1e300;
-        for (const Shard &s : shards_)
-            if (s.count)
-                v = std::max(v, s.max);
-        return v == -1e300 ? 0.0 : v;
-    }
+    std::uint64_t count() const { return count_; }
+    double sum() const { return sum_; }
+    double mean() const { return count_ ? sum_ / count_ : 0.0; }
+    double minValue() const { return count_ ? min_ : 0.0; }
+    double maxValue() const { return count_ ? max_ : 0.0; }
 
     void
     reset()
     {
-        for (Shard &s : shards_)
-            s = Shard{};
+        count_ = 0;
+        sum_ = 0;
+        min_ = 1e300;
+        max_ = -1e300;
     }
 
-    /** Fold another distribution's samples into this one,
-     * shard-by-shard so the fold itself is order-stable. */
+    /** Fold another distribution's samples into this one. */
     void
     merge(const Distribution &o)
     {
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            const Shard &os = o.shards_[i];
-            if (os.count == 0)
-                continue;
-            Shard &s = shards_[i];
-            s.count += os.count;
-            s.sum += os.sum;
-            s.min = std::min(s.min, os.min);
-            s.max = std::max(s.max, os.max);
-        }
+        if (o.count_ == 0)
+            return;
+        count_ += o.count_;
+        sum_ += o.sum_;
+        min_ = std::min(min_, o.min_);
+        max_ = std::max(max_, o.max_);
     }
 
   private:
-    struct Shard
-    {
-        std::uint64_t count = 0;
-        double sum = 0;
-        double min = 1e300;
-        double max = -1e300;
-    };
-
     std::string name_;
     std::string desc_;
-    std::array<Shard, PartEngine::kMaxPartitions> shards_{};
+    std::uint64_t count_ = 0;
+    double sum_ = 0;
+    double min_ = 1e300;
+    double max_ = -1e300;
 };
 
 /**

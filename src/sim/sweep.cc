@@ -12,13 +12,6 @@ namespace ccsvm::sim
 {
 
 unsigned
-hardwareJobs()
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
-unsigned
 defaultSweepJobs()
 {
     if (const char *env = std::getenv("CCSVM_JOBS")) {
@@ -29,7 +22,9 @@ defaultSweepJobs()
         ccsvm_warn("CCSVM_JOBS='%s' is not a positive integer; "
                    "using hardware concurrency", env);
     }
-    return hardwareJobs();
+    // hardware_concurrency() may return 0 when the count is unknown.
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
 }
 
 SweepRunner::SweepRunner(unsigned jobs)

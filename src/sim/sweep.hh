@@ -33,16 +33,9 @@ namespace ccsvm::sim
 {
 
 /**
- * std::thread::hardware_concurrency() clamped to at least 1: the
- * standard allows it to return 0 when the count cannot be determined,
- * and a zero worker count would mean no workers at all. Shared by
- * every "0 = auto" knob (sweep --jobs, machine --sim-threads).
- */
-unsigned hardwareJobs();
-
-/**
  * Default sweep worker count: the CCSVM_JOBS environment variable if
- * set (1 = sequential), else hardwareJobs().
+ * set (1 = sequential), else std::thread::hardware_concurrency()
+ * (at least 1).
  */
 unsigned defaultSweepJobs();
 

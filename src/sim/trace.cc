@@ -29,8 +29,6 @@ Tracer::parseCategories(const std::string &list, unsigned &mask)
             m |= traceVm;
         else if (tok == "kernel")
             m |= traceKernel;
-        else if (tok == "engine")
-            m |= traceEngine;
         else if (!tok.empty())
             return false;
         pos = comma + 1;
@@ -47,7 +45,6 @@ Tracer::catName(unsigned bit)
       case traceNoc: return "noc";
       case traceVm: return "vm";
       case traceKernel: return "kernel";
-      case traceEngine: return "engine";
       default: return "?";
     }
 }
@@ -63,91 +60,41 @@ Tracer::lane(const std::string &name)
 }
 
 void
-Tracer::setRingCapacity(std::size_t cap)
+Tracer::setCapacity(std::size_t cap)
 {
-    ccsvm_assert(cap > 0, "trace ring capacity must be positive");
-    ringCap_ = cap;
+    ccsvm_assert(cap > 0, "trace capacity must be positive");
+    ccsvm_assert(buf_.empty(), "set the trace capacity before recording");
+    cap_ = cap;
 }
 
 void
 Tracer::push(TraceEvent ev)
 {
-    Ring &r = rings_[activePartition()];
-    ev.srcPart = activePartition();
-    ev.srcSeq = r.seq++;
-    if (r.buf.size() < ringCap_) {
-        r.buf.push_back(ev);
-    } else {
-        // Full between barriers: overwrite the oldest, count the loss.
-        r.buf[r.next] = ev;
-        r.next = (r.next + 1) % ringCap_;
-        r.wrapped = true;
-        ++r.dropped;
-    }
-}
-
-void
-Tracer::flush()
-{
-    for (Ring &r : rings_) {
-        if (r.buf.empty())
-            continue;
-        if (r.wrapped) {
-            // Oldest surviving event sits at the overwrite cursor.
-            merged_.insert(merged_.end(), r.buf.begin() + r.next,
-                           r.buf.end());
-            merged_.insert(merged_.end(), r.buf.begin(),
-                           r.buf.begin() + r.next);
-        } else {
-            merged_.insert(merged_.end(), r.buf.begin(), r.buf.end());
-        }
-        r.buf.clear();
-        r.next = 0;
-        r.wrapped = false;
-        sorted_ = false;
-    }
-}
-
-std::uint64_t
-Tracer::recorded() const
-{
-    std::uint64_t n = 0;
-    for (const Ring &r : rings_)
-        n += r.seq;
-    return n;
-}
-
-std::uint64_t
-Tracer::dropped() const
-{
-    std::uint64_t n = 0;
-    for (const Ring &r : rings_)
-        n += r.dropped;
-    return n;
-}
-
-void
-Tracer::sortMerged()
-{
-    if (sorted_)
+    ev.seq = seq_++;
+    sortedValid_ = false;
+    if (buf_.size() < cap_) {
+        buf_.push_back(ev);
         return;
-    // The same deterministic commit order the engine uses for
-    // cross-partition mailboxes: any host interleaving of the rings
-    // collapses to one canonical sequence.
-    std::sort(merged_.begin(), merged_.end(),
-              [](const TraceEvent &a, const TraceEvent &b) {
-                  return std::tie(a.when, a.prio, a.srcPart, a.srcSeq) <
-                         std::tie(b.when, b.prio, b.srcPart, b.srcSeq);
-              });
-    sorted_ = true;
+    }
+    // Full: overwrite the oldest, count the loss.
+    buf_[next_] = ev;
+    next_ = (next_ + 1) % cap_;
+    ++dropped_;
 }
 
 const std::vector<TraceEvent> &
 Tracer::events()
 {
-    flush();
-    sortMerged();
-    return merged_;
+    if (!sortedValid_) {
+        sorted_ = buf_;
+        std::sort(sorted_.begin(), sorted_.end(),
+                  [](const TraceEvent &a, const TraceEvent &b) {
+                      return std::tie(a.when, a.seq) <
+                             std::tie(b.when, b.seq);
+                  });
+        sortedValid_ = true;
+    }
+    return sorted_;
 }
 
 namespace
@@ -169,8 +116,7 @@ ticksToUs(Tick t)
 void
 Tracer::writeJson(std::ostream &os)
 {
-    flush();
-    sortMerged();
+    const std::vector<TraceEvent> &evs = events();
     os << "{\n\"displayTimeUnit\": \"ns\",\n"
        << "\"otherData\": {\"recorded\": " << recorded()
        << ", \"dropped\": " << dropped() << "},\n"
@@ -182,7 +128,7 @@ Tracer::writeJson(std::ostream &os)
            << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
            << lanes_[i] << "\"}}";
     }
-    for (const TraceEvent &ev : merged_) {
+    for (const TraceEvent &ev : evs) {
         os << ",\n{\"ph\": \"" << ev.phase << "\", \"pid\": 0, \"tid\": "
            << ev.lane << ", \"ts\": " << ticksToUs(ev.when);
         if (ev.phase == 'X')

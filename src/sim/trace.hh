@@ -4,14 +4,10 @@
  *
  * Components record span ("X") and instant ("i") events — coherence
  * transaction lifetimes, NoC packet flights, TLB walks/shootdowns,
- * kernel launches, engine windows — into per-partition ring buffers.
- * Recording is race-free under the partitioned engine for the same
- * reason Distribution shards are: an event only ever touches the ring
- * of the partition it executes in. At every window barrier the engine
- * (single-threaded again) flushes the rings into one merged vector;
- * writeJson() sorts it by (when, priority, srcPart, srcSeq) before
- * emitting, so the exported trace is byte-identical at any
- * --sim-threads value.
+ * kernel launches — into one capacity-bounded buffer per machine.
+ * Events are recorded when a span ends, so writeJson() sorts them by
+ * (start tick, record sequence) before emitting; the machine's event
+ * order is deterministic, so the exported trace is too.
  *
  * The output is Chrome trace-event JSON (one "traceEvents" array of
  * complete/instant events plus thread_name metadata), loadable in
@@ -20,21 +16,18 @@
  *
  * Zero overhead when disabled: every record site is guarded by
  * `enabled(cat)`, a single load + mask test against a bitmask that is
- * 0 by default, and the engine barrier hook is only installed when a
- * category is on.
+ * 0 by default.
  */
 
 #ifndef CCSVM_SIM_TRACE_HH
 #define CCSVM_SIM_TRACE_HH
 
-#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "base/types.hh"
-#include "sim/parteventq.hh"
 
 namespace ccsvm::sim
 {
@@ -46,21 +39,18 @@ enum TraceCat : unsigned
     traceNoc = 1u << 1,     ///< torus packet flights
     traceVm = 1u << 2,      ///< TLB walks, shootdowns, fault relays
     traceKernel = 1u << 3,  ///< kernel launches, page-fault service
-    traceEngine = 1u << 4,  ///< engine window barriers
 };
 
 /** All categories on. */
 inline constexpr unsigned traceAll =
-    traceCoh | traceNoc | traceVm | traceKernel | traceEngine;
+    traceCoh | traceNoc | traceVm | traceKernel;
 
 /** One recorded event. `name` must be a string literal. */
 struct TraceEvent
 {
     Tick when = 0;           ///< start tick (ps)
     Tick dur = 0;            ///< span length; 0 for instants
-    int prio = 0;            ///< merge tie-break (matches event prio)
-    int srcPart = 0;         ///< recording partition
-    std::uint64_t srcSeq = 0;///< per-partition record sequence
+    std::uint64_t seq = 0;   ///< record sequence (sort tie-break)
     unsigned cat = 0;        ///< single TraceCat bit
     char phase = 'X';        ///< 'X' complete span, 'i' instant
     int lane = 0;            ///< interned lane (Perfetto "thread") id
@@ -81,7 +71,7 @@ class Tracer
     unsigned mask() const { return mask_; }
 
     /**
-     * Parse a --trace-categories list ("coh,noc,vm,kernel,engine" or
+     * Parse a --trace-categories list ("coh,noc,vm,kernel" or
      * "all") into a bitmask. Returns false on an unknown token
      * (leaving @p mask untouched).
      */
@@ -96,10 +86,9 @@ class Tracer
      */
     int lane(const std::string &name);
 
-    /** Ring capacity per partition (events kept between barriers plus
-     * headroom; older events are overwritten and counted as dropped).
-     * Host-side only. */
-    void setRingCapacity(std::size_t cap);
+    /** Most events kept; once full, each new event overwrites the
+     * oldest and is counted as dropped. Host-side only. */
+    void setCapacity(std::size_t cap);
 
     /** Record a complete span [start, end). */
     void
@@ -134,44 +123,30 @@ class Tracer
         push(ev);
     }
 
-    /**
-     * Drain every partition ring into the merged buffer, in fixed
-     * partition order. Must run at a window barrier (or after the
-     * run), when no partition worker is recording.
-     */
-    void flush();
+    /** Total events recorded, and those overwritten once full. */
+    std::uint64_t recorded() const { return seq_; }
+    std::uint64_t dropped() const { return dropped_; }
 
-    /** Total events recorded / overwritten before a flush. Host-side
-     * only (summed from per-partition ring sequence counters). */
-    std::uint64_t recorded() const;
-    std::uint64_t dropped() const;
-
-    /** Flushed events in deterministic (when, prio, srcPart, srcSeq)
-     * order. Flushes any ring remainder first. */
+    /** Kept events in (when, seq) order. */
     const std::vector<TraceEvent> &events();
 
     /** Write the Chrome trace-event JSON document. */
     void writeJson(std::ostream &os);
 
   private:
-    struct Ring
-    {
-        std::vector<TraceEvent> buf;
-        std::size_t next = 0;     ///< overwrite cursor once full
-        bool wrapped = false;
-        std::uint64_t seq = 0;    ///< lifetime records in this ring
-        std::uint64_t dropped = 0;
-    };
-
     void push(TraceEvent ev);
-    void sortMerged();
 
     unsigned mask_ = 0;
-    std::size_t ringCap_ = std::size_t(1) << 16;
+    std::size_t cap_ = std::size_t(1) << 22;
     std::vector<std::string> lanes_;
-    std::array<Ring, PartEngine::kMaxPartitions> rings_;
-    std::vector<TraceEvent> merged_;
-    bool sorted_ = true;
+    /** Ring of kept events; once full, next_ is the oldest. */
+    std::vector<TraceEvent> buf_;
+    std::size_t next_ = 0;
+    std::uint64_t seq_ = 0;
+    std::uint64_t dropped_ = 0;
+    /** buf_ sorted for export; rebuilt when stale. */
+    std::vector<TraceEvent> sorted_;
+    bool sortedValid_ = true;
 };
 
 } // namespace ccsvm::sim

@@ -1,48 +1,28 @@
 #include "system/ccsvm_machine.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "base/logging.hh"
-#include "sim/sweep.hh"
 #include "workloads/replay/capture.hh"
 #include "workloads/replay/replayer.hh"
 
 namespace ccsvm::system
 {
 
-int
-resolveSimThreads(int requested)
-{
-    if (requested < 0) {
-        requested = 1;
-        if (const char *env = std::getenv("CCSVM_SIM_THREADS")) {
-            char *end = nullptr;
-            const long v = std::strtol(env, &end, 10);
-            if (env[0] && end && !*end && v >= 0) {
-                requested = static_cast<int>(v);
-            } else {
-                ccsvm_warn("CCSVM_SIM_THREADS='%s' is not a "
-                           "non-negative integer; running serial",
-                           env);
-            }
-        }
-    }
-    if (requested == 0)
-        requested = static_cast<int>(sim::hardwareJobs());
-    return requested;
-}
-
 CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
-    : cfg_(std::move(cfg)),
-      engine_(partBank0 + cfg_.numL2Banks,
-              static_cast<Tick>(cfg_.noc.hopLatency) *
-                  cfg_.noc.clockPeriod,
-              resolveSimThreads(cfg_.simThreads)),
-      phys_(cfg_.physMemBytes)
+    : cfg_(std::move(cfg)), phys_(cfg_.physMemBytes)
 {
+    if (cfg_.numCpuCores + cfg_.numMttopCores > coherence::maxL1s) {
+        throw std::invalid_argument(
+            std::to_string(cfg_.numCpuCores) + " CPU + " +
+            std::to_string(cfg_.numMttopCores) +
+            " MTTOP cores exceed the directory's " +
+            std::to_string(coherence::maxL1s) + "-L1 sharer mask");
+    }
+
     // Bind each cluster's protocol (defaulting to the chip-wide one)
     // to its L1s, and teach the directory banks the cluster split so
     // they can mediate mixed-protocol transactions.
@@ -69,7 +49,7 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
     cfg_.l2.sliceHash = cfg_.sliceHash;
     cfg_.l2.replace = cfg_.l2Replace;
 
-    dram_ = std::make_unique<mem::DramCtrl>(sysQ(), stats_, "dram",
+    dram_ = std::make_unique<mem::DramCtrl>(eq_, stats_, "dram",
                                             cfg_.dram);
 
     // Auto-size the torus to hold all endpoints if the configured grid
@@ -82,7 +62,7 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
         cfg_.noc.height =
             (endpoints + cfg_.noc.width - 1) / cfg_.noc.width;
     }
-    net_ = std::make_unique<noc::TorusNetwork>(sysQ(), stats_, "noc",
+    net_ = std::make_unique<noc::TorusNetwork>(eq_, stats_, "noc",
                                                cfg_.noc);
 
     if (cfg_.swmrChecks)
@@ -90,7 +70,7 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
 
     // Observability: arm the tracer before components intern their
     // lanes in buildNodes(). An unparseable category list is a
-    // config error, reported like PartEngine's lookahead check.
+    // config error.
     if (!cfg_.traceCategories.empty()) {
         unsigned mask = 0;
         if (!sim::Tracer::parseCategories(cfg_.traceCategories, mask))
@@ -98,56 +78,44 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
                 "bad trace categories: " + cfg_.traceCategories);
         stats_.tracer().setMask(mask);
     }
-    engineLane_ = stats_.tracer().lane("engine");
 
     kernel_ = std::make_unique<vm::Kernel>(
-        sysQ(), stats_, phys_, cfg_.kernel, cfg_.framePoolBase,
+        eq_, stats_, phys_, cfg_.kernel, cfg_.framePoolBase,
         cfg_.physMemBytes - cfg_.framePoolBase);
 
     buildNodes();
 
-    // The barrier hook is pure observability cost: only installed
-    // when something consumes it (tracing, sampling, trace capture).
-    nextSample_ = cfg_.sampleInterval;
-    if (stats_.tracer().anyEnabled() || cfg_.sampleInterval > 0 ||
-        !cfg_.captureOut.empty()) {
-        engine_.setBarrierHook([this](Tick base, Tick end) {
-            onWindowBarrier(base, end);
-        });
-    }
+    if (cfg_.sampleInterval > 0)
+        nextSample_ = cfg_.sampleInterval;
 }
 
 void
-CcsvmMachine::onWindowBarrier(Tick base, Tick end)
+CcsvmMachine::step()
 {
-    sim::Tracer &trc = stats_.tracer();
-    if (trc.enabled(sim::traceEngine))
-        trc.complete(sim::traceEngine, engineLane_, "window", base,
-                     end, 0, false);
-    trc.flush();
+    const Tick next = eq_.peekWhen();
+    if (next >= nextSample_)
+        takeSample(next);
+    eq_.runOne();
+}
 
-    // Window barriers run single-threaded on a schedule independent
-    // of the worker count, so flushing here keeps the capture file
-    // byte-identical at any simThreads value.
-    if (capture_)
-        capture_->atBarrier();
-
-    if (cfg_.sampleInterval > 0 && base >= nextSample_) {
-        Sample s;
-        s.t = base;
-        s.dram = stats_.sumMatching("dram.");
-        s.l1Hits = stats_.sumMatchingSuffix(".hits");
-        s.l1Misses = stats_.sumMatchingSuffix(".misses");
-        s.nocPackets = stats_.get("noc.packets");
-        s.nocBytes = stats_.get("noc.bytes");
-        s.pageFaults = stats_.get("kernel.pageFaults");
-        samples_.push_back(s);
-        // One sample per crossed boundary set, however many intervals
-        // this window skipped.
-        do {
-            nextSample_ += cfg_.sampleInterval;
-        } while (nextSample_ <= base);
-    }
+void
+CcsvmMachine::takeSample(Tick next)
+{
+    // No event ran in [now, next), so the counters hold the same
+    // totals at every boundary up to @p next. One sample stands for
+    // all of them, stamped with the last one.
+    const Tick t =
+        next - (next - nextSample_) % cfg_.sampleInterval;
+    Sample s;
+    s.t = t;
+    s.dram = stats_.sumMatching("dram.");
+    s.l1Hits = stats_.sumMatchingSuffix(".hits");
+    s.l1Misses = stats_.sumMatchingSuffix(".misses");
+    s.nocPackets = stats_.get("noc.packets");
+    s.nocBytes = stats_.get("noc.bytes");
+    s.pageFaults = stats_.get("kernel.pageFaults");
+    samples_.push_back(s);
+    nextSample_ = t + cfg_.sampleInterval;
 }
 
 CcsvmMachine::~CcsvmMachine() = default;
@@ -159,23 +127,22 @@ CcsvmMachine::buildNodes()
     const noc::NodeId first_bank_node = num_l1s;
     const noc::NodeId mifd_node = num_l1s + cfg_.numL2Banks;
 
-    // L1 controllers: CPUs first, then MTTOPs; L1Id == node id. Each
-    // lives in its cluster's partition, alongside its core.
+    // L1 controllers: CPUs first, then MTTOPs; L1Id == node id.
     for (int i = 0; i < cfg_.numCpuCores; ++i) {
         l1s_.push_back(std::make_unique<coherence::L1Controller>(
-            cpuQ(), stats_, "cpu" + std::to_string(i) + ".l1",
+            eq_, stats_, "cpu" + std::to_string(i) + ".l1",
             cfg_.cpuL1, i, *net_, i, monitor_.get()));
     }
     for (int j = 0; j < cfg_.numMttopCores; ++j) {
         const int id = cfg_.numCpuCores + j;
         l1s_.push_back(std::make_unique<coherence::L1Controller>(
-            mttopQ(), stats_, "mttop" + std::to_string(j) + ".l1",
+            eq_, stats_, "mttop" + std::to_string(j) + ".l1",
             cfg_.mttopL1, id, *net_, id, monitor_.get()));
     }
 
     for (int b = 0; b < cfg_.numL2Banks; ++b) {
         banks_.push_back(std::make_unique<coherence::Directory>(
-            bankQ(b), stats_, "dir" + std::to_string(b), cfg_.l2, b,
+            eq_, stats_, "dir" + std::to_string(b), cfg_.l2, b,
             cfg_.numL2Banks, *net_, first_bank_node + b, *dram_,
             phys_));
     }
@@ -195,32 +162,26 @@ CcsvmMachine::buildNodes()
         bank->connectL1s(l1refs);
 
     // Per-core walkers (sharing the PTE-lines-in-L2 model) and cores.
-    // The walkers all live in the system partition with the PTE-line
-    // filter and authoritative PhysMem they share; cores cross into
-    // it over the conservative horizon on a TLB miss.
     pteFilter_ = std::make_unique<vm::PteLineFilter>();
     for (int i = 0; i < cfg_.numCpuCores; ++i) {
         walkers_.push_back(std::make_unique<vm::Walker>(
-            sysQ(), stats_, "cpu" + std::to_string(i) + ".walker",
+            eq_, stats_, "cpu" + std::to_string(i) + ".walker",
             cfg_.walker, *dram_, pteFilter_.get()));
         cpuCores_.push_back(std::make_unique<core::CpuCore>(
-            cpuQ(), stats_, "cpu" + std::to_string(i), cfg_.cpu,
+            eq_, stats_, "cpu" + std::to_string(i), cfg_.cpu,
             *l1s_[i], *walkers_.back(), *kernel_, *net_, i));
     }
     for (int j = 0; j < cfg_.numMttopCores; ++j) {
         walkers_.push_back(std::make_unique<vm::Walker>(
-            sysQ(), stats_, "mttop" + std::to_string(j) + ".walker",
+            eq_, stats_, "mttop" + std::to_string(j) + ".walker",
             cfg_.walker, *dram_, pteFilter_.get()));
         mttopCores_.push_back(std::make_unique<core::MttopCore>(
-            mttopQ(), stats_, "mttop" + std::to_string(j), cfg_.mttop,
+            eq_, stats_, "mttop" + std::to_string(j), cfg_.mttop,
             *l1s_[cfg_.numCpuCores + j], *walkers_.back(), *kernel_));
-        // Task completions decrement launch-side bookkeeping owned by
-        // the CPU cluster.
-        mttopCores_.back()->setCompletionQueue(&cpuQ());
     }
 
     // The MIFD.
-    mifd_ = std::make_unique<dev::Mifd>(sysQ(), stats_, cfg_.mifd,
+    mifd_ = std::make_unique<dev::Mifd>(eq_, stats_, cfg_.mifd,
                                         *kernel_, *net_, mifd_node);
     std::vector<dev::MttopPort> mttop_ports;
     for (int j = 0; j < cfg_.numMttopCores; ++j) {
@@ -231,21 +192,6 @@ CcsvmMachine::buildNodes()
     mifd_->connectMttops(std::move(mttop_ports));
     for (auto &cpu : cpuCores_)
         cpu->connectMifd({mifd_.get(), mifd_node});
-
-    // Teach the torus which partition owns each node, so per-hop
-    // events run in the traversed router's partition. Nodes beyond
-    // the endpoints (grid padding) never source traffic; parking them
-    // in the system partition keeps pass-through hops deterministic.
-    std::vector<sim::EventQueue *> node_queues(
-        static_cast<std::size_t>(net_->numNodes()), &sysQ());
-    for (int i = 0; i < cfg_.numCpuCores; ++i)
-        node_queues[i] = &cpuQ();
-    for (int j = 0; j < cfg_.numMttopCores; ++j)
-        node_queues[cfg_.numCpuCores + j] = &mttopQ();
-    for (int b = 0; b < cfg_.numL2Banks; ++b)
-        node_queues[first_bank_node + b] = &bankQ(b);
-    node_queues[mifd_node] = &sysQ();
-    net_->setNodeQueues(std::move(node_queues));
 }
 
 runtime::Process &
@@ -288,7 +234,7 @@ Tick
 CcsvmMachine::runMain(runtime::Process &proc, core::KernelFn fn,
                       vm::VAddr args)
 {
-    const Tick start = engine_.now();
+    const Tick start = eq_.now();
     if (!cfg_.captureOut.empty()) {
         // Arm at the start of the (single) captured run: the premap
         // snapshot must see exactly the host-side init mappings, and
@@ -314,9 +260,11 @@ CcsvmMachine::runMain(runtime::Process &proc, core::KernelFn fn,
     }
     bool done = false;
     spawnCpuThread(0, proc, std::move(fn), args, [&] { done = true; });
-    const bool finished = engine_.runUntil([&] { return done; });
-    ccsvm_assert(finished, "guest main never exited (deadlock?)");
-    const Tick ticks = engine_.now() - start;
+    while (!done) {
+        ccsvm_assert(!eq_.empty(), "guest main never exited (deadlock?)");
+        step();
+    }
+    const Tick ticks = eq_.now() - start;
     // Quiesce before returning: under protocols without an Owned
     // state the newest copy of a line can be in flight between a
     // downgraded owner and the home (the dirty Unblock of the read
@@ -329,8 +277,8 @@ CcsvmMachine::runMain(runtime::Process &proc, core::KernelFn fn,
     // (a thread spinning on a condition only main could have set)
     // degrades to a warning instead of hanging the host forever.
     constexpr Tick quiesceLimit = 100 * tickMs;
-    engine_.run(engine_.now() + quiesceLimit);
-    if (!engine_.empty()) {
+    run(eq_.now() + quiesceLimit);
+    if (!eq_.empty()) {
         ccsvm_warn("runMain: events still pending after the "
                    "post-main quiesce window; functional reads may "
                    "see stale data");
@@ -346,13 +294,19 @@ CcsvmMachine::runMain(runtime::Process &proc, core::KernelFn fn,
 void
 CcsvmMachine::run(Tick limit)
 {
-    engine_.run(limit);
+    while (!eq_.empty() && eq_.peekWhen() <= limit)
+        step();
 }
 
 bool
 CcsvmMachine::runUntil(const std::function<bool()> &done, Tick limit)
 {
-    return engine_.runUntil(done, limit);
+    while (!done()) {
+        if (eq_.empty() || eq_.peekWhen() > limit)
+            return false;
+        step();
+    }
+    return true;
 }
 
 std::uint64_t

@@ -33,7 +33,6 @@
 #include "runtime/functional_mem.hh"
 #include "runtime/process.hh"
 #include "sim/eventq.hh"
-#include "sim/parteventq.hh"
 #include "sim/stats.hh"
 #include "vm/kernel.hh"
 #include "vm/walker.hh"
@@ -117,19 +116,19 @@ struct CcsvmConfig
     bool swmrChecks = true;
 
     /**
-     * Transaction-trace categories ("coh,noc,vm,kernel,engine" or
-     * "all"; driver flag --trace-categories). Empty (the default)
-     * disables tracing entirely: no barrier hook is installed and
-     * every record site reduces to one load + mask test, so default
-     * runs are unperturbed. Export with stats().tracer().writeJson().
+     * Transaction-trace categories ("coh,noc,vm,kernel" or "all";
+     * driver flag --trace-categories). Empty (the default) disables
+     * tracing entirely: every record site reduces to one load + mask
+     * test, so default runs are unperturbed. Export with
+     * stats().tracer().writeJson().
      */
     std::string traceCategories;
 
     /**
      * Time-series sampling interval in ticks (driver flag
-     * --sample-interval); 0 = off. Samples are taken at the first
-     * window barrier at or past each interval boundary — the window
-     * schedule is thread-count independent, so the series is too.
+     * --sample-interval); 0 = off. The run loop takes a sample before
+     * the first event at or past each interval boundary, so sampling
+     * schedules no events of its own.
      */
     Tick sampleInterval = 0;
 
@@ -137,32 +136,18 @@ struct CcsvmConfig
      * Record the guest-side op stream of runMain into this `.ccsvmt`
      * trace file (driver flag --capture-out; docs/TRACE_FORMAT.md);
      * empty = off. Capture is a pure host-side observer: the run's
-     * stats are byte-identical to an uncaptured run, and the file is
-     * byte-identical at any simThreads value. Replay it with the
-     * `replay` workload.
+     * stats are byte-identical to an uncaptured run. Replay it with
+     * the `replay` workload.
      */
     std::string captureOut;
-
-    /**
-     * Host worker threads for the partitioned event engine:
-     *   -1 = consult the CCSVM_SIM_THREADS environment variable
-     *        (absent or invalid -> 1),
-     *    0 = one worker per hardware thread,
-     *    N = exactly N workers.
-     * The partition/window schedule — and therefore every simulated
-     * statistic — is identical at any value; the thread count only
-     * changes how many host threads execute each window.
-     */
-    int simThreads = -1;
 };
-
-/** Resolve CcsvmConfig::simThreads to a concrete worker count. */
-int resolveSimThreads(int requested);
 
 /** The simulated CCSVM chip. */
 class CcsvmMachine : public runtime::FunctionalMem
 {
   public:
+    /** @throws std::invalid_argument for more than coherence::maxL1s
+     * cores or an unparseable trace-category list. */
     explicit CcsvmMachine(CcsvmConfig cfg = {});
     ~CcsvmMachine() override;
 
@@ -188,22 +173,22 @@ class CcsvmMachine : public runtime::FunctionalMem
                  vm::VAddr args = 0);
 
     /** Run the event loop until fully idle (or @p limit). */
-    void run(Tick limit = sim::PartEngine::maxTick);
+    void run(Tick limit = sim::EventQueue::maxTick);
 
     /**
-     * Run until the host-side predicate @p done is true (checked at
-     * every window barrier) or the machine drains.
+     * Run until the host-side predicate @p done is true (checked
+     * after every event) or the machine drains.
      * @return true iff the predicate fired
      */
     bool runUntil(const std::function<bool()> &done,
-                  Tick limit = sim::PartEngine::maxTick);
+                  Tick limit = sim::EventQueue::maxTick);
 
-    /** Committed simulated time (base of the last engine window). */
-    Tick now() const { return engine_.now(); }
+    /** Current simulated time. */
+    Tick now() const { return eq_.now(); }
     /** The configuration this machine was built with. */
     const CcsvmConfig &config() const { return cfg_; }
-    /** The partitioned engine (bench/diagnostic access). */
-    sim::PartEngine &engine() { return engine_; }
+    /** The machine's event queue (bench/diagnostic access). */
+    sim::EventQueue &engine() { return eq_; }
     sim::StatRegistry &stats() { return stats_; }
     mem::PhysMem &physMem() { return phys_; }
     vm::Kernel &kernel() { return *kernel_; }
@@ -229,8 +214,8 @@ class CcsvmMachine : public runtime::FunctionalMem
     /** Off-chip DRAM transactions so far (Figure 9's metric). */
     std::uint64_t dramAccesses() const;
 
-    /** One time-series sample: cumulative counter totals committed at
-     * a window barrier (tick = the window base). */
+    /** One time-series sample: cumulative counter totals of every
+     * event before tick t (an interval boundary). */
     struct Sample
     {
         Tick t = 0;
@@ -254,34 +239,14 @@ class CcsvmMachine : public runtime::FunctionalMem
 
   private:
     void buildNodes();
-    /** Engine barrier hook: trace flush + time-series sampling. */
-    void onWindowBarrier(Tick base, Tick end);
-
-    /**
-     * Partition map of the chip: the two core clusters run
-     * independently of each other and of the memory system inside
-     * each conservative window; every directory/L2 home bank gets its
-     * own partition; DRAM, the kernel/VM machinery (walkers, PTE-line
-     * filter, fault service), and the MIFD share the "system"
-     * partition.
-     */
-    enum : int
-    {
-        partCpu = 0,
-        partMttop = 1,
-        partSys = 2,
-        partBank0 = 3,
-    };
-    sim::EventQueue &cpuQ() { return engine_.queue(partCpu); }
-    sim::EventQueue &mttopQ() { return engine_.queue(partMttop); }
-    sim::EventQueue &sysQ() { return engine_.queue(partSys); }
-    sim::EventQueue &bankQ(int b)
-    {
-        return engine_.queue(partBank0 + b);
-    }
+    /** Run the next event, sampling first if it crosses an interval
+     * boundary. @pre the queue is not empty. */
+    void step();
+    /** Sample the counters before an event at @p next. */
+    void takeSample(Tick next);
 
     CcsvmConfig cfg_;
-    sim::PartEngine engine_;
+    sim::EventQueue eq_;
     sim::StatRegistry stats_;
     mem::PhysMem phys_;
 
@@ -311,8 +276,8 @@ class CcsvmMachine : public runtime::FunctionalMem
     std::vector<std::unique_ptr<CpuThread>> cpuThreads_;
 
     std::vector<Sample> samples_;
-    Tick nextSample_ = 0;
-    int engineLane_ = 0;
+    /** Next interval boundary to sample at; maxTick when off. */
+    Tick nextSample_ = sim::EventQueue::maxTick;
 
     /** Trace capture (cfg_.captureOut); armed by the first runMain. */
     std::unique_ptr<workloads::replay::TraceCapture> capture_;

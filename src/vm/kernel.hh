@@ -27,7 +27,6 @@
 #include "base/types.hh"
 #include "mem/phys_mem.hh"
 #include "sim/eventq.hh"
-#include "sim/parteventq.hh"
 #include "sim/stats.hh"
 #include "vm/page_table.hh"
 #include "vm/tlb.hh"
@@ -128,105 +127,24 @@ class Kernel
         return std::make_unique<AddressSpace>(*phys_, frames_);
     }
 
-    /**
-     * Register a CPU TLB (receives precise invalidations). @p owner
-     * is the partition queue of the core holding the TLB, so
-     * shootdowns can invalidate it in its own partition; null (the
-     * default, for standalone tests) invalidates directly.
-     */
-    void
-    registerCpuTlb(Tlb *tlb, sim::EventQueue *owner = nullptr)
-    {
-        cpuTlbs_.push_back(OwnedTlb{tlb, owner});
-    }
+    /** Register a CPU TLB (receives precise invalidations). */
+    void registerCpuTlb(Tlb *tlb) { cpuTlbs_.push_back(tlb); }
 
     /** Register an MTTOP TLB (flushed wholesale on shootdown). */
-    void
-    registerMttopTlb(Tlb *tlb, sim::EventQueue *owner = nullptr)
-    {
-        mttopTlbs_.push_back(OwnedTlb{tlb, owner});
-    }
+    void registerMttopTlb(Tlb *tlb) { mttopTlbs_.push_back(tlb); }
 
     /**
      * Service a page fault at @p va: allocate a zeroed frame and map
      * it. Faults are serialized by the kernel lock; @p on_done runs
-     * once the handler completes — in the caller's own partition.
+     * once the handler completes.
      *
      * The fault may be raised by a CPU core directly or relayed from
      * an MTTOP core through the MIFD interrupt (the MIFD adds its own
-     * relay latency before calling this). Under a PartEngine the
-     * kernel's state (fault queue, frame allocator, page tables)
-     * lives in its own partition: cross-partition faulters are routed
-     * there over the conservative horizon, keeping the coalescing map
-     * and allocator in deterministic partition-local order.
+     * relay latency before calling this).
      */
     void
     handlePageFault(AddressSpace &as, VAddr va,
                     std::function<void()> on_done)
-    {
-        if (sim::crossPartition(*eq_)) {
-            sim::EventQueue *src = sim::activeQueue();
-            sim::postToPartition(
-                *eq_, [this, &as, va, src,
-                       cb = std::move(on_done)]() mutable {
-                    faultLocal(as, va,
-                               [src, cb = std::move(cb)]() mutable {
-                                   sim::postToPartition(
-                                       *src, std::move(cb));
-                               });
-                });
-            return;
-        }
-        faultLocal(as, va, std::move(on_done));
-    }
-
-    /**
-     * Unmap @p va's page and run a TLB shootdown: precise invalidation
-     * at CPU TLBs, full flush of all MTTOP TLBs (the paper's
-     * conservative policy). Frees the frame. Routed like
-     * handlePageFault; the IPI invalidations run in each TLB's own
-     * partition, well inside the shootdown-latency window after which
-     * @p on_done fires.
-     */
-    void
-    unmapAndShootdown(AddressSpace &as, VAddr va,
-                      std::function<void()> on_done)
-    {
-        if (sim::crossPartition(*eq_)) {
-            sim::EventQueue *src = sim::activeQueue();
-            sim::postToPartition(
-                *eq_, [this, &as, va, src,
-                       cb = std::move(on_done)]() mutable {
-                    shootdownLocal(
-                        as, va,
-                        [src, cb = std::move(cb)]() mutable {
-                            sim::postToPartition(*src,
-                                                 std::move(cb));
-                        });
-                });
-            return;
-        }
-        shootdownLocal(as, va, std::move(on_done));
-    }
-
-    std::uint64_t pageFaults() const { return faults_.value(); }
-
-  private:
-    struct Fault
-    {
-        AddressSpace *as;
-        VAddr va;
-    };
-
-    struct OwnedTlb
-    {
-        Tlb *tlb;
-        sim::EventQueue *owner; ///< null = invalidate directly
-    };
-
-    void
-    faultLocal(AddressSpace &as, VAddr va,
-               std::function<void()> on_done)
     {
         // Coalesce concurrent faulters on the same page: only the
         // first pays the full handler; the rest block on the page-
@@ -247,9 +165,14 @@ class Kernel
             serviceNextFault();
     }
 
+    /**
+     * Unmap @p va's page and run a TLB shootdown: precise invalidation
+     * at CPU TLBs, full flush of all MTTOP TLBs (the paper's
+     * conservative policy). Frees the frame.
+     */
     void
-    shootdownLocal(AddressSpace &as, VAddr va,
-                   std::function<void()> on_done)
+    unmapAndShootdown(AddressSpace &as, VAddr va,
+                      std::function<void()> on_done)
     {
         ++shootdowns_;
         if (trc_.enabled(sim::traceVm))
@@ -261,27 +184,21 @@ class Kernel
             as.pageTable().unmap(va);
             frames_.free(r.frame);
         }
-        for (const OwnedTlb &t : cpuTlbs_) {
-            if (t.owner && sim::crossPartition(*t.owner)) {
-                sim::postToPartition(
-                    *t.owner, [tlb = t.tlb, va] {
-                        tlb->invalidate(va);
-                    });
-            } else {
-                t.tlb->invalidate(va);
-            }
-        }
-        for (const OwnedTlb &t : mttopTlbs_) {
-            if (t.owner && sim::crossPartition(*t.owner)) {
-                sim::postToPartition(*t.owner, [tlb = t.tlb] {
-                    tlb->flushAll();
-                });
-            } else {
-                t.tlb->flushAll();
-            }
-        }
+        for (Tlb *tlb : cpuTlbs_)
+            tlb->invalidate(va);
+        for (Tlb *tlb : mttopTlbs_)
+            tlb->flushAll();
         eq_->scheduleIn(cfg_.shootdownLatency, std::move(on_done));
     }
+
+    std::uint64_t pageFaults() const { return faults_.value(); }
+
+  private:
+    struct Fault
+    {
+        AddressSpace *as;
+        VAddr va;
+    };
 
     void
     serviceNextFault()
@@ -323,8 +240,8 @@ class Kernel
     KernelConfig cfg_;
     mem::PhysMem *phys_;
     FrameAllocator frames_;
-    std::vector<OwnedTlb> cpuTlbs_;
-    std::vector<OwnedTlb> mttopTlbs_;
+    std::vector<Tlb *> cpuTlbs_;
+    std::vector<Tlb *> mttopTlbs_;
 
     std::deque<Fault> faultQueue_;
     /** Faulters blocked per (address space, page). */

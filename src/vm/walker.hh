@@ -21,7 +21,6 @@
 #include "base/types.hh"
 #include "mem/dram.hh"
 #include "sim/eventq.hh"
-#include "sim/parteventq.hh"
 #include "sim/stats.hh"
 #include "vm/page_table.hh"
 
@@ -101,62 +100,19 @@ class Walker
 
     /**
      * Perform a timed walk of @p va in @p pt.
-     *
-     * The walkers share one PteLineFilter and all sit (with the page
-     * tables' authoritative PhysMem image) in the system partition
-     * under a PartEngine, so a walk requested from a core partition
-     * is routed there over the conservative horizon and the result
-     * comes back in the caller's partition — the shared LRU state is
-     * only ever touched in deterministic partition-local order.
-     *
-     * @param on_done receives the functional walk result, in the
-     *        caller's partition, once the dependent PTE reads have
-     *        been charged.
+     * @param on_done receives the functional walk result once the
+     *        dependent PTE reads have been charged.
      */
     void
     walk(const PageTable &pt, VAddr va,
          std::function<void(WalkResult)> on_done)
     {
-        if (sim::crossPartition(*eq_)) {
-            sim::EventQueue *src = sim::activeQueue();
-            sim::postToPartition(
-                *eq_, [this, &pt, va, src,
-                       cb = std::move(on_done)]() mutable {
-                    walkLocal(pt, va,
-                              [src, cb = std::move(cb)](
-                                  WalkResult r) mutable {
-                                  sim::postToPartition(
-                                      *src,
-                                      [cb = std::move(cb),
-                                       r]() mutable { cb(r); });
-                              });
-                });
-            return;
-        }
-        walkLocal(pt, va, std::move(on_done));
-    }
-
-  private:
-    void
-    walkLocal(const PageTable &pt, VAddr va,
-              std::function<void(WalkResult)> on_done)
-    {
         ++walks_;
-        if (trc_.enabled(sim::traceVm)) {
-            // Wrap the completion so the span closes when the last
-            // PTE access resolves, still in this walker's partition.
-            const Tick t0 = eq_->now();
-            on_done = [this, t0, va, cb = std::move(on_done)](
-                          WalkResult res) mutable {
-                trc_.complete(sim::traceVm, lane_, "walk", t0,
-                              eq_->now(), va);
-                cb(res);
-            };
-        }
         WalkResult r = pt.walk(va);
         stepWalk(r, 0, std::move(on_done));
     }
 
+  private:
     void
     stepWalk(WalkResult r, unsigned lvl,
              std::function<void(WalkResult)> on_done)

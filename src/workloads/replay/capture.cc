@@ -14,9 +14,7 @@ namespace ccsvm::workloads::replay
 namespace
 {
 
-/** Summed buffered bytes that triggers a flush at a window barrier.
- * Evaluated only at barriers (single-threaded) so the flush schedule
- * is independent of `--sim-threads`. */
+/** Summed buffered bytes that triggers a flush of every stream. */
 constexpr std::size_t flushThresholdBytes = 256 * 1024;
 
 std::uint8_t
@@ -94,6 +92,7 @@ CaptureStream::record(core::GuestOp &op, Tick now)
         attr = attrCode(mr);
     }
 
+    const std::size_t before = buf_.size();
     buf_.push_back(packOpcode(kind, size_log2, attr));
     putVarint(buf_, now - prevTick_);
     prevTick_ = now;
@@ -139,6 +138,7 @@ CaptureStream::record(core::GuestOp &op, Tick now)
     }
     ++bufRecords_;
     ++totalRecords_;
+    owner_->buffered(buf_.size() - before);
 }
 
 // --- TraceCapture ----------------------------------------------------
@@ -313,19 +313,14 @@ TraceCapture::flushStreams()
         flushOne(*s);
     for (auto &[key, s] : mttopStreams_)
         flushOne(*s);
+    pending_ = 0;
 }
 
 void
-TraceCapture::atBarrier()
+TraceCapture::buffered(std::size_t bytes)
 {
-    if (!armed())
-        return;
-    std::size_t pending = 0;
-    for (const auto &s : cpuStreams_)
-        pending += s->buf_.size();
-    for (const auto &[key, s] : mttopStreams_)
-        pending += s->buf_.size();
-    if (pending >= flushThresholdBytes)
+    pending_ += bytes;
+    if (armed() && pending_ >= flushThresholdBytes)
         flushStreams();
 }
 

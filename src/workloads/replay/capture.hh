@@ -6,12 +6,11 @@
  * One CaptureStream per guest hardware thread (CPU threads keyed by
  * core index, MTTOP threads by launch id + tid) implements core::OpSink
  * and delta-encodes each op into a per-stream buffer at record time.
- * Buffers are flushed to the file only at PartEngine window barriers —
- * single-threaded points whose schedule does not depend on
- * `--sim-threads` — in a canonical stream order, so the file is
- * byte-identical at any thread count. Recording itself touches no
- * simulated state and registers no stats: a captured run's stat dump
- * is byte-identical to an uncaptured one.
+ * Once the buffers together hold enough bytes, every buffer is flushed
+ * to the file in a canonical stream order; the machine's op order is
+ * deterministic, so the file is too. Recording itself touches no
+ * simulated state, schedules no events and registers no stats: a
+ * captured run's stat dump is byte-identical to an uncaptured one.
  */
 
 #ifndef CCSVM_WORKLOADS_REPLAY_CAPTURE_HH
@@ -49,8 +48,8 @@ namespace ccsvm::workloads::replay
 class TraceCapture;
 
 /** The op sink for one guest thread: encodes records into a buffer
- * owned by this stream; the owning TraceCapture flushes it at window
- * barriers. All delta state (previous tick, previous vaddr) lives
+ * owned by this stream; the owning TraceCapture flushes it. All
+ * delta state (previous tick, previous vaddr) lives
  * here and persists across chunks. */
 class CaptureStream final : public core::OpSink
 {
@@ -83,13 +82,6 @@ class CaptureStream final : public core::OpSink
  * CcsvmMachine when `captureOut` is set; armed at the start of
  * runMain (which snapshots the pre-run page mappings); finalized
  * after the run quiesces.
- *
- * Partition safety under a PartEngine: CPU streams are created
- * host-side before the run and only written by the CPU partition;
- * MTTOP streams are created and written only by the MTTOP partition
- * (via MttopCore's capture hook); the launch-id counter is only
- * touched from CPU record sites; flushes happen at window barriers,
- * which run single-threaded.
  */
 class TraceCapture
 {
@@ -111,14 +103,9 @@ class TraceCapture
     core::OpSink *cpuStream(unsigned core_idx);
 
     /** Sink for MTTOP thread @p tid of a captured launch; returns
-     * null for tasks that were not launched under capture. Runs in
-     * the MTTOP partition. */
+     * null for tasks that were not launched under capture. */
     core::OpSink *mttopStream(const core::TaskDescriptor &desc,
                               ThreadId tid);
-
-    /** Window-barrier hook: flush stream buffers once enough bytes
-     * are pending. Runs single-threaded between windows. */
-    void atBarrier();
 
     /** Flush everything, emit the End block, and close the file. */
     void finalize();
@@ -127,6 +114,9 @@ class TraceCapture
     friend class CaptureStream;
 
     std::uint64_t nextLaunchId() { return ++launchSeq_; }
+    /** Account @p bytes newly buffered by a stream; flushes every
+     * stream once the total reaches the threshold. */
+    void buffered(std::size_t bytes);
     void writeRaw(const void *data, std::size_t len);
     void writeVec(const std::vector<std::uint8_t> &v);
     /** Flush every non-empty stream buffer in canonical order:
@@ -145,6 +135,8 @@ class TraceCapture
     std::int64_t nextFileId_ = 0;
     std::uint64_t totalRecords_ = 0;
     std::uint64_t streamCount_ = 0;
+    /** Bytes buffered across all streams since the last flush. */
+    std::size_t pending_ = 0;
     /** Region lookup for attr codes; set at arm(). Const use only. */
     const vm::AddressSpace *as_ = nullptr;
 

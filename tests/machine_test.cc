@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "runtime/xthreads.hh"
 #include "system/ccsvm_machine.hh"
@@ -54,6 +55,16 @@ TEST(Machine, StatsDumpListsCoreHierarchy)
         EXPECT_NE(text.find(key), std::string::npos)
             << "missing stat " << key;
     }
+}
+
+TEST(Machine, RejectsMoreL1sThanTheSharerMask)
+{
+    CcsvmConfig cfg;
+    cfg.numMttopCores = coherence::maxL1s - cfg.numCpuCores + 1;
+    EXPECT_THROW(CcsvmMachine m(cfg), std::invalid_argument);
+    // Exactly 64 L1s is the largest legal chip.
+    cfg.numMttopCores -= 1;
+    EXPECT_NO_THROW(CcsvmMachine m(cfg));
 }
 
 TEST(Machine, CpuThreadRunsAndExits)

@@ -4,9 +4,10 @@
  * carrying the attribute alongside the translation, and the L1/
  * directory honoring bypass and protocol-override requests — the
  * protocol-sensitive cases parametrized over every cluster protocol
- * on the coherence harness. Also holds the SWMR-monitor double-writer
- * regression (the monitor used to silently overwrite its writer slot,
- * so two simultaneous writers went undetected).
+ * on the coherence harness. Also holds the SWMR-monitor tests: the
+ * double-writer regression (the monitor used to silently overwrite
+ * its writer slot, so two simultaneous writers went undetected), the
+ * other two invariant trips, and its bounded bookkeeping.
  */
 
 #include <gtest/gtest.h>
@@ -133,6 +134,55 @@ TEST(SwmrMonitorDeathTest, TwoSimultaneousWritersTrip)
     // And a clean hand-off (drop, then the other L1 writes) is fine.
     monitor.onDrop(0, 0x1000);
     monitor.onSetState(1, 0x1000, CohState::M);
+}
+
+TEST(SwmrMonitorDeathTest, TwoOwnersTrip)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SwmrMonitor monitor;
+    monitor.onSetState(0, 0x2000, CohState::O);
+    monitor.onSetState(1, 0x2000, CohState::S);
+    EXPECT_DEATH(monitor.onSetState(1, 0x2000, CohState::O),
+                 "two owners");
+}
+
+TEST(SwmrMonitorDeathTest, WriterBesideReadersTrips)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SwmrMonitor monitor;
+    monitor.onSetState(0, 0x3000, CohState::S);
+    monitor.onSetState(63, 0x3000, CohState::S);
+    EXPECT_DEATH(monitor.onSetState(1, 0x3000, CohState::M),
+                 "writer L1 1 and 2 readers");
+    // A reader joining a writer trips the same check.
+    monitor.onDrop(0, 0x3000);
+    monitor.onDrop(63, 0x3000);
+    monitor.onSetState(1, 0x3000, CohState::M);
+    EXPECT_DEATH(monitor.onSetState(40, 0x3000, CohState::S),
+                 "writer L1 1 and 1 readers");
+}
+
+TEST(SwmrMonitor, ForgetsBlocksNoL1Holds)
+{
+    SwmrMonitor monitor;
+    // Readers across the whole 64-bit mask, an owner and a writer.
+    for (L1Id id = 0; id < maxL1s; ++id)
+        monitor.onSetState(id, 0x4000, CohState::S);
+    monitor.onSetState(5, 0x4000, CohState::O);
+    monitor.onSetState(9, 0x5000, CohState::M);
+    monitor.onSetState(33, 0x6000, CohState::E);
+    EXPECT_EQ(monitor.trackedBlocks(), 3u);
+    EXPECT_EQ(monitor.holders(0x4000), unsigned(maxL1s));
+
+    for (L1Id id = 0; id < maxL1s; ++id)
+        monitor.onDrop(id, 0x4000);
+    monitor.onSetState(9, 0x5000, CohState::I);
+    monitor.onDrop(33, 0x6000);
+    EXPECT_EQ(monitor.trackedBlocks(), 0u);
+    EXPECT_EQ(monitor.holders(0x4000), 0u);
+    // Dropping a block nobody holds records nothing.
+    monitor.onDrop(2, 0x7000);
+    EXPECT_EQ(monitor.trackedBlocks(), 0u);
 }
 
 // --------------------------------------------------------------------

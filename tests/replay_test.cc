@@ -8,14 +8,11 @@
  *    corruption with the documented messages
  *  - shapeMismatch() flags every checked header field, in both
  *    directions, and deliberately ignores the protocol fields
- *  - a capture file is byte-identical at --sim-threads 1 vs 4
- *    (records flush at deterministic window barriers)
+ *  - a capture file is byte-identical across two identical runs
  *  - capturing is a pure observer: the capture run's stats dump is
  *    byte-identical to an uncaptured run's
  *  - capture-then-replay reproduces the stats dump byte-identically
- *    for a synth pattern and for matmul, at --sim-threads 1 and 4
- *    (the CI ThreadSanitizer lane runs this suite via the
- *    "concurrent" label)
+ *    for a synth pattern and for matmul
  *  - decoded streams preserve per-thread ordering (monotone ticks)
  *    and the v1 stream layout (one CPU stream with records).
  */
@@ -226,11 +223,10 @@ smallFalseShare()
 /** Stats dump of a synth:false run, capturing iff @p capture_path is
  * non-empty. */
 std::string
-runSynth(const std::string &capture_path, int sim_threads)
+runSynth(const std::string &capture_path)
 {
     system::CcsvmConfig cfg;
     cfg.captureOut = capture_path;
-    cfg.simThreads = sim_threads;
     system::CcsvmMachine m(cfg);
     const workloads::RunResult r =
         workloads::synth::synthXthreads(m, smallFalseShare());
@@ -241,11 +237,9 @@ runSynth(const std::string &capture_path, int sim_threads)
 }
 
 std::string
-runReplayOf(const std::string &trace_path, int sim_threads)
+runReplayOf(const std::string &trace_path)
 {
-    system::CcsvmConfig cfg;
-    cfg.simThreads = sim_threads;
-    system::CcsvmMachine m(cfg);
+    system::CcsvmMachine m;
     const workloads::RunResult r = runReplay(m, trace_path);
     EXPECT_TRUE(r.correct);
     std::ostringstream ss;
@@ -264,30 +258,29 @@ slurp(const std::string &path)
 
 TEST(TraceCaptureReplay, CaptureIsAPureObserver)
 {
-    const std::string plain = runSynth("", 1);
+    const std::string plain = runSynth("");
     const std::string captured =
-        runSynth(tmpPath("observer.ccsvmt"), 1);
+        runSynth(tmpPath("observer.ccsvmt"));
     EXPECT_EQ(plain, captured)
         << "capture hooks must not perturb the simulation";
 }
 
-TEST(TraceCaptureReplay, CaptureFileIsByteIdenticalAcrossSimThreads)
+TEST(TraceCaptureReplay, CaptureFileIsByteIdenticalAcrossRuns)
 {
     const std::string p1 = tmpPath("cap1.ccsvmt");
-    const std::string p4 = tmpPath("cap4.ccsvmt");
-    runSynth(p1, 1);
-    runSynth(p4, 4);
+    const std::string p2 = tmpPath("cap2.ccsvmt");
+    runSynth(p1);
+    runSynth(p2);
     const std::string b1 = slurp(p1);
     ASSERT_FALSE(b1.empty());
-    EXPECT_EQ(b1, slurp(p4));
+    EXPECT_EQ(b1, slurp(p2));
 }
 
 TEST(TraceCaptureReplay, SynthStatsAreByteIdenticalOnReplay)
 {
     const std::string path = tmpPath("synth.ccsvmt");
-    const std::string cap = runSynth(path, 1);
-    EXPECT_EQ(cap, runReplayOf(path, 1));
-    EXPECT_EQ(cap, runReplayOf(path, 4));
+    const std::string cap = runSynth(path);
+    EXPECT_EQ(cap, runReplayOf(path));
 }
 
 TEST(TraceCaptureReplay, MatmulStatsAreByteIdenticalOnReplay)
@@ -305,14 +298,13 @@ TEST(TraceCaptureReplay, MatmulStatsAreByteIdenticalOnReplay)
         m.dumpStats(ss);
         cap = ss.str();
     }
-    EXPECT_EQ(cap, runReplayOf(path, 1));
-    EXPECT_EQ(cap, runReplayOf(path, 4));
+    EXPECT_EQ(cap, runReplayOf(path));
 }
 
 TEST(TraceCaptureReplay, ReplayRejectsShapeMismatch)
 {
     const std::string path = tmpPath("shape.ccsvmt");
-    runSynth(path, 1);
+    runSynth(path);
     system::CcsvmConfig cfg;
     cfg.numCpuCores = 2;
     system::CcsvmMachine m(cfg);
@@ -342,7 +334,7 @@ TEST(TraceCaptureReplay, ReplayNeedsATraceFile)
 TEST(TraceStructure, StreamsPreserveOrderingAndV1Layout)
 {
     const std::string path = tmpPath("struct.ccsvmt");
-    runSynth(path, 1);
+    runSynth(path);
     const TraceData t = readTrace(path);
 
     EXPECT_EQ(t.info.version, traceVersion);
@@ -387,7 +379,7 @@ TEST(TraceStructure, StreamsPreserveOrderingAndV1Layout)
 TEST(TraceStructure, ChecksumDetectsCorruption)
 {
     const std::string path = tmpPath("corrupt.ccsvmt");
-    runSynth(path, 1);
+    runSynth(path);
     std::string bytes = slurp(path);
     ASSERT_GT(bytes.size(), 100u);
     bytes[bytes.size() / 2] ^= 0x40; // flip one payload bit

@@ -3,15 +3,14 @@
  * The transaction tracer's contract:
  *
  *  - category parsing and the enabled() mask test
- *  - per-partition ring wraparound: oldest events overwritten, the
- *    drop count reported, the survivors the most recent ones
- *  - deterministic merged order: events flushed from several
- *    partitions sort by (when, prio, srcPart, srcSeq)
+ *  - capacity wraparound: oldest events overwritten, the drop count
+ *    reported, the survivors the most recent ones
+ *  - deterministic export order: events sort by (when, seq)
  *  - writeJson structure (metadata rows, exact microsecond ts)
- *  - machine-level byte-identity: a traced matmul run exports the
- *    same trace document and the same time-series samples at
- *    --sim-threads 1 and 4 (the CI ThreadSanitizer lane runs this
- *    suite via the "concurrent" label)
+ *  - machine-level determinism: a traced matmul run exports the same
+ *    trace document and the same time-series samples every time
+ *  - observers are pure: tracing plus sampling leaves the stats dump
+ *    byte-identical to an unobserved run
  *  - zero-overhead-when-disabled: an untraced run records nothing.
  */
 
@@ -42,6 +41,10 @@ TEST(TraceCategories, ParseListsAndRejectUnknown)
     EXPECT_TRUE(sim::Tracer::parseCategories("kernel", mask));
     EXPECT_EQ(mask, unsigned(sim::traceKernel));
 
+    // Any other token, "engine" included, is rejected.
+    mask = 0xdead;
+    EXPECT_FALSE(sim::Tracer::parseCategories("engine", mask));
+
     mask = 0xdead;
     EXPECT_FALSE(sim::Tracer::parseCategories("coh,bogus", mask));
     EXPECT_EQ(mask, 0xdeadu) << "mask must be untouched on failure";
@@ -55,7 +58,7 @@ TEST(TraceCategories, EnabledIsAMaskTest)
     EXPECT_TRUE(t.enabled(sim::traceCoh));
     EXPECT_TRUE(t.enabled(sim::traceVm));
     EXPECT_FALSE(t.enabled(sim::traceNoc));
-    EXPECT_FALSE(t.enabled(sim::traceEngine));
+    EXPECT_FALSE(t.enabled(sim::traceKernel));
     EXPECT_TRUE(t.anyEnabled());
 }
 
@@ -63,7 +66,7 @@ TEST(TraceRing, WraparoundKeepsNewestAndCountsDrops)
 {
     sim::Tracer t;
     t.setMask(sim::traceAll);
-    t.setRingCapacity(4);
+    t.setCapacity(4);
     const int lane = t.lane("test");
     for (Tick i = 0; i < 10; ++i)
         t.instant(sim::traceCoh, lane, "ev", i, i);
@@ -74,17 +77,14 @@ TEST(TraceRing, WraparoundKeepsNewestAndCountsDrops)
     ASSERT_EQ(evs.size(), 4u);
     for (std::size_t i = 0; i < evs.size(); ++i) {
         EXPECT_EQ(evs[i].when, Tick(6 + i));
-        EXPECT_EQ(evs[i].srcSeq, 6 + i);
+        EXPECT_EQ(evs[i].seq, 6 + i);
     }
 }
 
-TEST(TraceRing, MergedOrderIsWhenPrioPartSeq)
+TEST(TraceRing, ExportOrderIsWhenThenSeq)
 {
-    // Same-tick events from different "partitions" must land in a
-    // fixed order however the rings were filled. activePartition() is
-    // 0 on the host thread, so forge partitions by flushing between
-    // batches... not possible from outside; instead check the sort
-    // key on same-partition events: when first, then record order.
+    // Spans are recorded when they end, so export sorts by start
+    // tick, then by record order.
     sim::Tracer t;
     t.setMask(sim::traceAll);
     const int lane = t.lane("test");
@@ -97,7 +97,7 @@ TEST(TraceRing, MergedOrderIsWhenPrioPartSeq)
     EXPECT_STREQ(evs[0].name, "early");
     EXPECT_STREQ(evs[1].name, "early2");
     EXPECT_STREQ(evs[2].name, "late");
-    EXPECT_LT(evs[0].srcSeq, evs[1].srcSeq);
+    EXPECT_LT(evs[0].seq, evs[1].seq);
 }
 
 TEST(TraceJson, StructureAndMicrosecondFormatting)
@@ -123,21 +123,22 @@ TEST(TraceJson, StructureAndMicrosecondFormatting)
     EXPECT_NE(out.find("\"recorded\": 2"), std::string::npos);
 }
 
-/** Trace + series of one traced matmul run at @p sim_threads. */
+/** Trace, series and stats of one matmul run; tracing and sampling
+ * are off when @p cats is empty. */
 struct TracedRun
 {
     std::string trace;
     std::vector<system::CcsvmMachine::Sample> samples;
     std::uint64_t recorded = 0;
+    std::string stats;
 };
 
 TracedRun
-runTraced(int sim_threads, const std::string &cats)
+runTraced(const std::string &cats)
 {
     system::CcsvmConfig cfg;
     cfg.traceCategories = cats;
-    cfg.sampleInterval = 500000;
-    cfg.simThreads = sim_threads;
+    cfg.sampleInterval = cats.empty() ? 0 : 500000;
     system::CcsvmMachine m(cfg);
     workloads::matmulXthreads(m, 8);
 
@@ -147,38 +148,56 @@ runTraced(int sim_threads, const std::string &cats)
     m.stats().tracer().writeJson(ss);
     out.trace = ss.str();
     out.samples = m.samples();
+    std::ostringstream st;
+    m.dumpStats(st);
+    out.stats = st.str();
     return out;
 }
 
-TEST(TraceMachine, ByteIdenticalAcrossSimThreads)
+TEST(TraceMachine, ByteIdenticalAcrossRuns)
 {
-    const TracedRun t1 = runTraced(1, "all");
-    const TracedRun t4 = runTraced(4, "all");
+    const TracedRun t1 = runTraced("all");
+    const TracedRun t2 = runTraced("all");
     EXPECT_GT(t1.recorded, 0u);
-    EXPECT_EQ(t1.trace, t4.trace);
+    EXPECT_EQ(t1.trace, t2.trace);
 
-    ASSERT_EQ(t1.samples.size(), t4.samples.size());
+    ASSERT_EQ(t1.samples.size(), t2.samples.size());
     ASSERT_FALSE(t1.samples.empty());
     for (std::size_t i = 0; i < t1.samples.size(); ++i) {
-        EXPECT_EQ(t1.samples[i].t, t4.samples[i].t);
-        EXPECT_EQ(t1.samples[i].dram, t4.samples[i].dram);
-        EXPECT_EQ(t1.samples[i].l1Hits, t4.samples[i].l1Hits);
-        EXPECT_EQ(t1.samples[i].l1Misses, t4.samples[i].l1Misses);
-        EXPECT_EQ(t1.samples[i].nocPackets, t4.samples[i].nocPackets);
-        EXPECT_EQ(t1.samples[i].nocBytes, t4.samples[i].nocBytes);
+        EXPECT_EQ(t1.samples[i].t, t2.samples[i].t);
+        EXPECT_EQ(t1.samples[i].dram, t2.samples[i].dram);
+        EXPECT_EQ(t1.samples[i].l1Hits, t2.samples[i].l1Hits);
+        EXPECT_EQ(t1.samples[i].l1Misses, t2.samples[i].l1Misses);
+        EXPECT_EQ(t1.samples[i].nocPackets, t2.samples[i].nocPackets);
+        EXPECT_EQ(t1.samples[i].nocBytes, t2.samples[i].nocBytes);
         EXPECT_EQ(t1.samples[i].pageFaults,
-                  t4.samples[i].pageFaults);
+                  t2.samples[i].pageFaults);
     }
+}
+
+TEST(TraceMachine, SamplesSitOnIntervalBoundaries)
+{
+    const TracedRun t = runTraced("all");
+    ASSERT_FALSE(t.samples.empty());
+    Tick prev = 0;
+    for (const system::CcsvmMachine::Sample &s : t.samples) {
+        EXPECT_EQ(s.t % 500000, 0u);
+        EXPECT_GT(s.t, prev);
+        prev = s.t;
+    }
+}
+
+TEST(TraceMachine, ObserversLeaveStatsUnchanged)
+{
+    EXPECT_EQ(runTraced("").stats, runTraced("all").stats);
 }
 
 TEST(TraceMachine, CategoryFilterRestrictsEvents)
 {
-    const TracedRun coh = runTraced(1, "coh");
+    const TracedRun coh = runTraced("coh");
     EXPECT_GT(coh.recorded, 0u);
     EXPECT_NE(coh.trace.find("\"cat\": \"coh\""), std::string::npos);
     EXPECT_EQ(coh.trace.find("\"cat\": \"noc\""), std::string::npos);
-    EXPECT_EQ(coh.trace.find("\"cat\": \"engine\""),
-              std::string::npos);
 }
 
 TEST(TraceMachine, DisabledTracingRecordsNothing)

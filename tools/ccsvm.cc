@@ -207,13 +207,6 @@ usage(const char *argv0, std::FILE *out = stdout)
         "  --dram-ns N         flat DRAM latency (default 100)\n"
         "  --no-swmr           disable the SWMR checker (faster host "
         "run)\n"
-        "  --sim-threads N     host threads for the partitioned event "
-        "engine\n"
-        "                      (default: CCSVM_SIM_THREADS env or 1; "
-        "0 = hardware\n"
-        "                      concurrency; stats are identical at "
-        "any value;\n"
-        "                      see README \"Parallel engine\")\n"
         "\n"
         "output:\n"
         "  --json FILE         write summary + full stats registry as "
@@ -227,8 +220,8 @@ usage(const char *argv0, std::FILE *out = stdout)
         "(single point only;\n"
         "                      load in Perfetto / chrome://tracing)\n"
         "  --trace-categories LIST\n"
-        "                      comma list of coh,noc,vm,kernel,engine "
-        "or all\n"
+        "                      comma list of coh,noc,vm,kernel or "
+        "all\n"
         "                      (default all when --trace-out is set)\n"
         "  --sample-interval TICKS\n"
         "                      sample counter totals every TICKS into "
@@ -613,9 +606,6 @@ parseArgs(int argc, char **argv)
             o.cfg.dram.accessLatency =
                 Tick(parseUnsigned("--dram-ns", next(), true)) *
                 tickNs;
-        } else if (arg == "--sim-threads") {
-            o.cfg.simThreads = static_cast<int>(
-                parseUnsigned("--sim-threads", next(), true));
         } else if (arg == "--no-swmr") {
             o.cfg.swmrChecks = false;
         } else if (arg == "--json") {
@@ -635,7 +625,7 @@ parseArgs(int argc, char **argv)
                 std::fprintf(
                     stderr,
                     "ccsvm: --trace-categories wants a comma list "
-                    "of coh, noc, vm, kernel, engine or all, got "
+                    "of coh, noc, vm, kernel or all, got "
                     "'%s'\n",
                     o.traceCategories.c_str());
                 std::exit(2);
@@ -714,6 +704,15 @@ parseArgs(int argc, char **argv)
     check_sets("--cpu-l1-kb", o.cfg.cpuL1.sizeBytes, o.cfg.cpuL1.assoc);
     check_sets("--mttop-l1-kb", o.cfg.mttopL1.sizeBytes,
                o.cfg.mttopL1.assoc);
+    if (o.cfg.numCpuCores + o.cfg.numMttopCores > coherence::maxL1s) {
+        std::fprintf(stderr,
+                     "ccsvm: --cpu-cores %d + --mttop-cores %d gives "
+                     "%d L1 caches; the directory tracks at most %d\n",
+                     o.cfg.numCpuCores, o.cfg.numMttopCores,
+                     o.cfg.numCpuCores + o.cfg.numMttopCores,
+                     coherence::maxL1s);
+        std::exit(2);
+    }
     if (o.cfg.numL2Banks < 1) {
         std::fprintf(stderr,
                      "ccsvm: --l2-banks %d: the home-slice hash "
@@ -805,9 +804,7 @@ renderPointJson(std::ostream &os, const DriverOptions &o,
        << coherence::sliceHashName(spec.cfg.sliceHash)
        << "\", \"l2_replace\": \""
        << cache::replacerName(spec.cfg.l2Replace)
-       << "\", \"sim_threads\": "
-       << system::resolveSimThreads(spec.cfg.simThreads)
-       << ",\n              \"region_hints\": "
+       << "\",\n              \"region_hints\": "
        << (p.regionHints ? "true" : "false") << ", \"regions\": [";
     for (std::size_t i = 0; i < spec.cfg.regions.size(); ++i) {
         const vm::MemRegion &reg = spec.cfg.regions[i];
