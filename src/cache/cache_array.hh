@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -126,9 +125,9 @@ class CacheArray
      * least-recently-used such line, byte-identical to the pre-seam
      * array (strict < scan in way order over the same use clock).
      */
+    template <typename Pred>
     LineT *
-    findVictim(Addr block_addr,
-               const std::function<bool(const LineT &)> &evictable)
+    findVictim(Addr block_addr, Pred &&evictable)
     {
         Way *set = setWays(setIndex(block_addr));
         if (!set)
@@ -159,8 +158,9 @@ class CacheArray
     }
 
     /** Visit every valid line. */
+    template <typename Fn>
     void
-    forEach(const std::function<void(LineT &)> &fn)
+    forEach(Fn &&fn)
     {
         for (auto &chunk : chunks_) {
             for (std::size_t i = 0; chunk && i < chunkWays(); ++i) {

@@ -12,7 +12,6 @@
 #ifndef CCSVM_MEM_DRAM_HH
 #define CCSVM_MEM_DRAM_HH
 
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -62,7 +61,7 @@ class DramCtrl
      */
     void
     access(bool is_write, unsigned bytes,
-           std::function<void()> on_done)
+           sim::EventQueue::Callback on_done)
     {
         if (is_write)
             ++writes_;

@@ -14,9 +14,8 @@
 #ifndef CCSVM_NOC_NETWORK_HH
 #define CCSVM_NOC_NETWORK_HH
 
-#include <functional>
-
 #include "base/types.hh"
+#include "sim/callback.hh"
 
 namespace ccsvm::noc
 {
@@ -37,7 +36,9 @@ using NodeId = int;
 class Network
 {
   public:
-    using Deliver = std::function<void()>;
+    /** The receiver's delivery closure; held inline, never on the
+     * heap (see sim/callback.hh for the capacity rule). */
+    using Deliver = sim::InlineCallback;
 
     virtual ~Network() = default;
 

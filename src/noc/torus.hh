@@ -58,9 +58,9 @@ class TorusNetwork : public Network
     int hopCount(NodeId src, NodeId dst) const;
 
   private:
-    /** An in-flight packet. It waits in inFlight_ while its hop
-     * events carry only its slot index, so each per-hop closure fits
-     * std::function's inline buffer and schedules without allocating. */
+    /** An in-flight packet. It waits in inFlight_ (delivery closure
+     * and all) while its hop events carry only its slot index, so a
+     * hop moves a 16-byte closure, not the message. */
     struct Packet
     {
         NodeId dst = 0;

@@ -8,6 +8,15 @@
  * (priority, insertion sequence) so simulations are fully
  * deterministic. A queue is single-threaded; host parallelism comes
  * from running independent machines side by side (sim::SweepRunner).
+ *
+ * The heap orders 24-byte keys {when, priority, slot, seq}; the
+ * callbacks stay put in a slot pool (reused through a free list), so
+ * heap sifting moves no closures. Callbacks are InlineCallbacks:
+ * closures of up to InlineCallback::capacity bytes stored inline, so
+ * scheduling never allocates once the pool has grown to the peak
+ * number of pending events. A closure that outgrows the capacity does
+ * not compile; it must capture ids or pool indices, not whole
+ * messages.
  */
 
 #ifndef CCSVM_SIM_EVENTQ_HH
@@ -22,6 +31,7 @@
 
 #include "base/logging.hh"
 #include "base/types.hh"
+#include "sim/callback.hh"
 
 namespace ccsvm::sim
 {
@@ -38,13 +48,14 @@ enum : int
 /**
  * Deterministic discrete-event queue.
  *
- * Events are arbitrary callables. The queue itself is not thread
- * safe: only one host thread may schedule into or run it at a time.
+ * Events are void() closures that fit an InlineCallback. The queue
+ * itself is not thread safe: only one host thread may schedule into or
+ * run it at a time.
  */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = InlineCallback;
 
     static constexpr Tick maxTick = std::numeric_limits<Tick>::max();
 
@@ -60,9 +71,7 @@ class EventQueue
     /**
      * Schedule @p cb to run at absolute time @p when.
      *
-     * Takes the callable by forwarding reference: the std::function
-     * is constructed directly in the heap entry, skipping one
-     * std::function move per schedule on the hot path.
+     * The closure is built directly in a free pool slot.
      * @pre when >= now()
      */
     template <typename F>
@@ -72,8 +81,16 @@ class EventQueue
         ccsvm_assert(when >= now_,
                      "scheduling in the past: when=%llu now=%llu",
                      (unsigned long long)when, (unsigned long long)now_);
-        heap_.push_back(
-            Entry{when, priority, seq_++, std::forward<F>(cb)});
+        std::uint32_t slot;
+        if (freeSlots_.empty()) {
+            slot = static_cast<std::uint32_t>(slots_.size());
+            slots_.emplace_back(std::forward<F>(cb));
+        } else {
+            slot = freeSlots_.back();
+            freeSlots_.pop_back();
+            slots_[slot].emplace(std::forward<F>(cb));
+        }
+        heap_.push_back(Key{when, priority, slot, seq_++});
         std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
 
@@ -94,18 +111,17 @@ class EventQueue
     {
         if (heap_.empty())
             return false;
-        // pop_heap swaps the earliest entry to the back (move-
-        // assigning whole entries; it never compares an entry that
-        // has been moved from), so extraction does not depend on the
-        // comparator tolerating a moved-from std::function. The entry
-        // is fully moved out before cb() runs, since running it may
-        // schedule (and so reallocate the heap).
         std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        Entry e = std::move(heap_.back());
+        const Key k = heap_.back();
         heap_.pop_back();
-        now_ = e.when;
+        // Move the callback out and free its slot before running it:
+        // the callback may schedule, which may reuse the slot or grow
+        // (and so reallocate) the pool.
+        Callback cb = std::move(slots_[k.slot]);
+        freeSlots_.push_back(k.slot);
+        now_ = k.when;
         ++executed_;
-        e.cb();
+        cb();
         return true;
     }
 
@@ -148,13 +164,16 @@ class EventQueue
     }
 
   private:
-    struct Entry
+    /** What the heap orders: small and trivially copyable, so a sift
+     * step moves 24 bytes. */
+    struct Key
     {
         Tick when;
-        int priority;
+        std::int32_t priority;
+        std::uint32_t slot; ///< index of the callback in slots_
         std::uint64_t seq;
-        Callback cb;
     };
+    static_assert(sizeof(Key) == 24);
 
     /** Heap order: a runs after b. std::*_heap with this comparator
      * keeps the earliest event at the front. A function object, not
@@ -162,7 +181,7 @@ class EventQueue
     struct Later
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -174,7 +193,11 @@ class EventQueue
 
     /** Min-heap over Later, managed with std::push_heap /
      * std::pop_heap; front() is the earliest event. */
-    std::vector<Entry> heap_;
+    std::vector<Key> heap_;
+    /** Callback pool; a slot is empty unless a pending key names it. */
+    std::vector<Callback> slots_;
+    /** Empty slots of slots_, reused last-freed first. */
+    std::vector<std::uint32_t> freeSlots_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;

@@ -22,6 +22,7 @@
 #include "workloads/synth/synth.hh"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <numeric>
 #include <string>
@@ -757,18 +758,25 @@ synthXthreads(system::CcsvmMachine &m, const SynthParams &in)
 
     // Host-side init: zero everything, then the pattern's seeds.
     // Pokes are functional (no simulated time), so the measured
-    // region is pure pattern traffic. The conflict region is almost
-    // entirely padding between its widely-strided lines; poking one
-    // word per page (or per line when the stride is sub-page) still
-    // zeroes every word the guest touches while keeping the region's
-    // frames bump-allocated in VA order — which is what makes the VA
-    // set-stride a PA set-stride.
-    const Addr init_step =
-        p.pattern == Pattern::Conflict
-            ? std::min<Addr>(p.strideBytes, mem::pageBytes)
-            : 8;
-    for (Addr off = 0; off < g.regionBytes(); off += init_step)
-        proc.poke<std::uint64_t>(region + off, 0);
+    // region is pure pattern traffic. Either way the region's frames
+    // are bump-allocated in VA order — which is what makes the
+    // conflict pattern's VA set-stride a PA set-stride. The conflict
+    // region is almost entirely padding between its widely-strided
+    // lines, so it gets one word per page (or per line when the
+    // stride is sub-page), which still zeroes every word the guest
+    // touches. Every other region is written a page at a time: one
+    // page-table walk per page, not per word.
+    if (p.pattern == Pattern::Conflict) {
+        const Addr step = std::min<Addr>(p.strideBytes, mem::pageBytes);
+        for (Addr off = 0; off < g.regionBytes(); off += step)
+            proc.poke<std::uint64_t>(region + off, 0);
+    } else {
+        static const std::array<std::uint8_t, mem::pageBytes> zeros{};
+        for (Addr off = 0; off < g.regionBytes(); off += mem::pageBytes)
+            proc.writeGuest(region + off, zeros.data(),
+                            std::min<Addr>(mem::pageBytes,
+                                           g.regionBytes() - off));
+    }
     for (unsigned t = 0; t < p.threads; ++t) {
         proc.poke<std::uint64_t>(results + Addr(t) * lineB, 0);
         proc.poke<std::uint32_t>(done + t * 4, 0);

@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <random>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "sim/clock.hh"
@@ -117,6 +125,112 @@ TEST(EventQueue, RunUntilReturnsFalseWhenDrained)
     bool ok = eq.runUntil([] { return false; });
     EXPECT_FALSE(ok);
 }
+
+TEST(EventQueue, RandomScheduleMatchesReferenceSort)
+{
+    // ~20k events at random ticks and priorities, 8k of them
+    // scheduled from inside running callbacks (so freed slots are
+    // reused and the pool grows mid-run). Execution must follow a
+    // reference sort by (when, priority, insertion order).
+    struct Sched
+    {
+        Tick when;
+        int priority;
+        std::uint64_t id;
+    };
+    EventQueue eq;
+    std::mt19937_64 rng(20130421);
+    std::vector<Sched> scheduled;
+    std::vector<std::uint64_t> ran;
+    std::uint64_t corrupt = 0;
+
+    // Every closure carries a payload that must survive slot reuse
+    // and pool growth.
+    std::function<void(Tick, int)> add = [&](Tick when, int prio) {
+        const std::uint64_t id = scheduled.size();
+        scheduled.push_back({when, prio, id});
+        std::array<std::uint64_t, 12> payload;
+        payload.fill(id * 0x9e3779b97f4a7c15ull);
+        eq.schedule(when, [&, id, prio, payload] {
+            for (std::uint64_t w : payload)
+                corrupt += w != id * 0x9e3779b97f4a7c15ull;
+            ran.push_back(id);
+            // One or two follow-ups from a third of the events, so
+            // one slot is freed and up to two are taken in a row.
+            const unsigned kids = rng() % 3 == 0 ? 1 + rng() % 2 : 0;
+            for (unsigned k = 0; k < kids && scheduled.size() < 20000;
+                 ++k) {
+                // Strictly later, or the same tick at the same
+                // priority: both run after this event in the sort.
+                if (rng() % 4 == 0)
+                    add(eq.now(), prio);
+                else
+                    add(eq.now() + 1 + rng() % 64,
+                        static_cast<int>(rng() % 5) - 2);
+            }
+        }, prio);
+    };
+    for (int i = 0; i < 12000; ++i)
+        add(rng() % 5000, static_cast<int>(rng() % 5) - 2);
+    eq.run();
+
+    std::vector<Sched> ref = scheduled;
+    std::sort(ref.begin(), ref.end(), [](const Sched &a, const Sched &b) {
+        return std::tie(a.when, a.priority, a.id) <
+               std::tie(b.when, b.priority, b.id);
+    });
+    std::vector<std::uint64_t> expect;
+    for (const Sched &e : ref)
+        expect.push_back(e.id);
+    EXPECT_GT(scheduled.size(), 19000u);
+    EXPECT_EQ(ran, expect);
+    EXPECT_EQ(corrupt, 0u);
+    EXPECT_EQ(eq.eventsExecuted(), scheduled.size());
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, MoveOnlyCapture)
+{
+    EventQueue eq;
+    int got = 0;
+    auto p = std::make_unique<int>(42);
+    eq.schedule(1, [p = std::move(p), &got] { got = *p; });
+    eq.run();
+    EXPECT_EQ(got, 42);
+}
+
+TEST(EventQueue, CapturesAreReleasedAfterRunAndWithTheQueue)
+{
+    auto sp = std::make_shared<int>(7);
+    {
+        EventQueue eq;
+        long during = 0, after = 0;
+        eq.schedule(1, [sp, &during] { during = sp.use_count(); });
+        eq.schedule(2, [&] { after = sp.use_count(); });
+        eq.schedule(5, [sp] {});
+        eq.run(3);
+        EXPECT_EQ(during, 3); // test's, the running and the t=5 copy
+        EXPECT_EQ(after, 2);  // the t=1 closure is gone once it ran
+        EXPECT_EQ(sp.use_count(), 2); // t=5 is still pending
+    }
+    EXPECT_EQ(sp.use_count(), 1); // destroyed with the queue
+}
+
+// A closure one byte over the inline capacity must not convert: no
+// heap fallback exists.
+struct Oversize
+{
+    std::array<std::uint8_t, InlineCallback::capacity + 1> bytes;
+    void operator()() const {}
+};
+struct AtCapacity
+{
+    std::array<std::uint8_t, InlineCallback::capacity> bytes;
+    void operator()() const {}
+};
+static_assert(!std::is_constructible_v<EventQueue::Callback, Oversize>);
+static_assert(std::is_constructible_v<EventQueue::Callback, AtCapacity>);
+static_assert(!std::is_copy_constructible_v<EventQueue::Callback>);
 
 TEST(ClockDomain, EdgeAlignment)
 {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "noc/crossbar.hh"
@@ -143,6 +145,30 @@ TEST_F(TorusTest, StatsAccumulate)
     EXPECT_EQ(stats.get("noc.packets"), 2u);
     EXPECT_EQ(stats.get("noc.bytes"), 80u);
     EXPECT_EQ(stats.get("noc.hops"), 3u);
+}
+
+TEST_F(TorusTest, LargeDeliveryClosureArrivesIntact)
+{
+    // A delivery closure the size of a coherence message: 160 bytes
+    // of payload held inline by the packet. Many packets in flight at
+    // once grow (and so relocate) the packet pool under them.
+    TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
+    using Payload = std::array<std::uint8_t, 160>;
+    std::vector<int> seen(32, 0);
+    for (int i = 0; i < 32; ++i) {
+        Payload data;
+        for (std::size_t b = 0; b < data.size(); ++b)
+            data[b] = static_cast<std::uint8_t>(i * 7 + b);
+        net.send(i % 16, (i * 5) % 16, VNet::Response, 72,
+                 [&seen, i, data] {
+                     for (std::size_t b = 0; b < data.size(); ++b)
+                         ASSERT_EQ(data[b],
+                                   static_cast<std::uint8_t>(i * 7 + b));
+                     ++seen[i];
+                 });
+    }
+    eq.run();
+    EXPECT_EQ(seen, std::vector<int>(32, 1));
 }
 
 TEST(CrossbarTest, DeliversWithFixedLatency)

@@ -26,10 +26,11 @@
  * not consume produces a warning on stderr instead of silently doing
  * nothing.
  *
- * The JSON file carries a "sim" summary (ticks, DRAM transactions,
- * validation verdict) plus the complete counter/distribution registry,
- * in the same shape the figure benchmarks emit via CCSVM_BENCH_JSON —
- * one schema for every machine-readable artifact this repo produces.
+ * The JSON file carries a "sim" summary (ticks, executed events, DRAM
+ * transactions, validation verdict) plus the complete
+ * counter/distribution registry, in the same shape the figure
+ * benchmarks emit via CCSVM_BENCH_JSON — one schema for every
+ * machine-readable artifact this repo produces.
  */
 
 #include <cctype>
@@ -820,6 +821,7 @@ renderPointJson(std::ostream &os, const DriverOptions &o,
     os << "]},\n"
        << "  \"sim\": {\"ticks\": " << r.ticks
        << ", \"ticks_no_init\": " << r.ticksNoInit
+       << ", \"events\": " << m.engine().eventsExecuted()
        << ", \"dram_accesses\": " << r.dramAccesses
        << ", \"correct\": " << (r.correct ? "true" : "false")
        << "},\n";
