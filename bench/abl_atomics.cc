@@ -17,8 +17,9 @@
 #include "runtime/xthreads.hh"
 #include "system/ccsvm_machine.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -30,8 +31,7 @@ namespace xt = ccsvm::xthreads;
 /** threads x iters atomic increments; contended = one shared counter,
  * else one counter per thread (own cache block). */
 Tick
-ccsvmAtomics(unsigned threads, unsigned iters, bool contended,
-             std::uint64_t &dram)
+ccsvmAtomics(unsigned threads, unsigned iters, bool contended)
 {
     system::CcsvmMachine m;
     auto &proc = m.createProcess();
@@ -46,7 +46,6 @@ ccsvmAtomics(unsigned threads, unsigned iters, bool contended,
     proc.poke<std::uint32_t>(args + 16, iters);
     proc.poke<std::uint32_t>(args + 20, contended ? 1 : 0);
 
-    const auto dram0 = m.dramAccesses();
     const Tick t = m.runMain(
         proc,
         [threads](ThreadContext &ctx, VAddr a) -> GuestTask {
@@ -77,7 +76,6 @@ ccsvmAtomics(unsigned threads, unsigned iters, bool contended,
             co_await xt::cpuWaitAll(ctx, done_va, 0, threads - 1);
         },
         args);
-    dram = m.dramAccesses() - dram0;
 
     // Sanity: no lost increments.
     const std::uint64_t total = contended
@@ -95,8 +93,7 @@ ccsvmAtomics(unsigned threads, unsigned iters, bool contended,
 
 /** Same experiment on the APU GPU (atomics at memory). */
 Tick
-apuAtomics(unsigned threads, unsigned iters, bool contended,
-           std::uint64_t &dram)
+apuAtomics(unsigned threads, unsigned iters, bool contended)
 {
     apu::ApuMachine m;
     const Addr counters =
@@ -111,7 +108,6 @@ apuAtomics(unsigned threads, unsigned iters, bool contended,
     bool done = false;
     state->onComplete = [&] { done = true; };
 
-    const auto dram0 = m.dramAccesses();
     const Tick t0 = m.now();
     m.launchGpuTask(
         [](ThreadContext &tc, VAddr a) -> GuestTask {
@@ -126,80 +122,44 @@ apuAtomics(unsigned threads, unsigned iters, bool contended,
         },
         args, threads, state);
     m.eventq().runUntil([&] { return done; });
-    dram = m.dramAccesses() - dram0;
     return m.now() - t0;
 }
 
-// Simulations run up front through the BenchSweep (each experiment
-// owns its machines); the cases replay the outcomes in registration
-// order.
+} // namespace
 
-void
-BM_Atomics(benchmark::State &state)
+int
+main()
 {
-    const auto threads = static_cast<unsigned>(state.range(0));
-    const bool contended = state.range(1) != 0;
-    const bool apu = state.range(2) != 0;
-    constexpr unsigned iters = 50;
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(3)));
-    for (auto _ : state) {
-    }
-    const double ns_per_op = static_cast<double>(out.run.ticks) /
-                             tickNs / (threads * iters);
-    state.counters["ns_per_atomic"] = ns_per_op;
-    state.counters["dram"] = out.values.at("dram");
-    const std::string series =
-        std::string(apu ? "apu_mem" : "ccsvm_l1") +
-        (contended ? "_contended" : "_private");
-    FigureTable::instance().record(threads, series + "_ns",
-                                   ns_per_op);
-}
+    constexpr unsigned kIters = 50;
+    const unsigned thread_counts[] = {8, 32, 64};
+    std::vector<Job> jobs;
+    for (const unsigned threads : thread_counts)
+        for (const bool contended : {false, true})
+            for (const bool apu : {false, true})
+                jobs.push_back(ticksJob([threads, contended, apu] {
+                    return apu ? apuAtomics(threads, kIters, contended)
+                               : ccsvmAtomics(threads, kIters, contended);
+                }));
+    const auto out = runSweep(jobs);
 
-void
-registerAll()
-{
-    for (std::int64_t threads : {8, 32, 64}) {
-        for (std::int64_t contended : {0, 1}) {
-            for (std::int64_t apu : {0, 1}) {
-                const auto job = static_cast<std::int64_t>(
-                    BenchSweep::instance().add(
-                        [threads, contended, apu] {
-                            constexpr unsigned iters = 50;
-                            const auto ut =
-                                static_cast<unsigned>(threads);
-                            std::uint64_t dram = 0;
-                            SweepOutcome o;
-                            o.run.ticks =
-                                apu ? apuAtomics(ut, iters,
-                                                 contended != 0,
-                                                 dram)
-                                    : ccsvmAtomics(ut, iters,
-                                                   contended != 0,
-                                                   dram);
-                            o.run.correct = true;
-                            o.values["dram"] =
-                                static_cast<double>(dram);
-                            return o;
-                        }));
-                benchmark::RegisterBenchmark(
-                    apu ? "abl_atomics/apu_at_memory"
-                        : "abl_atomics/ccsvm_at_l1",
-                    BM_Atomics)
-                    ->Args({threads, contended, apu, job})
-                    ->Iterations(1)
-                    ->Unit(benchmark::kMillisecond);
+    FigureTable table;
+    std::size_t job = 0;
+    for (const unsigned threads : thread_counts) {
+        for (const bool contended : {false, true}) {
+            for (const bool apu : {false, true}) {
+                const double ns_per_op =
+                    static_cast<double>(out[job++].run.ticks) / tickNs /
+                    (threads * kIters);
+                table.record(threads,
+                             std::string(apu ? "apu_mem" : "ccsvm_l1") +
+                                 (contended ? "_contended" : "_private") +
+                                 "_ns",
+                             ns_per_op);
             }
         }
     }
+    return finish(table, out,
+                  "Ablation A2: nanoseconds per atomic increment, "
+                  "atomics-at-L1 (CCSVM) vs atomics-at-memory (APU GPU)",
+                  "threads");
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Ablation A2: nanoseconds per atomic increment, atomics-at-L1 "
-    "(CCSVM) vs atomics-at-memory (APU GPU)",
-    "threads")

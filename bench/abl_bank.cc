@@ -35,8 +35,9 @@
 #include "workloads/replay/replayer.hh"
 #include "workloads/synth/synth.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -111,58 +112,6 @@ constexpr const char *kValueKeys[] = {
     "conflict_evictions_coherent",
 };
 
-/** Series labels, addressed by index through the benchmark Args. */
-std::vector<std::string> &
-seriesNames()
-{
-    static std::vector<std::string> names;
-    return names;
-}
-
-void
-BM_BankPoint(benchmark::State &state)
-{
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    for (const char *key : kValueKeys)
-        state.counters[key] = out.values.at(key);
-
-    // x = bank count; the series name carries workload, hash and
-    // replacer, so replacer rows (4 banks only) leave "-" gaps at
-    // the other bank counts.
-    const auto x = static_cast<std::uint64_t>(state.range(1));
-    const std::string &series =
-        seriesNames()[static_cast<std::size_t>(state.range(2))];
-    FigureTable::instance().record(x, series + "_ms",
-                                   toMs(out.run.ticks));
-    FigureTable::instance().record(
-        x, series + "_dram",
-        static_cast<double>(out.run.dramAccesses));
-    for (const char *key : kValueKeys)
-        FigureTable::instance().record(x, series + "_" + key,
-                                       out.values.at(key));
-}
-
-/** Register one simulated point under figure series @p series. */
-void
-registerPoint(const std::string &name, const std::string &series,
-              int banks, std::function<SweepOutcome()> job)
-{
-    const auto idx =
-        static_cast<std::int64_t>(BenchSweep::instance().add(
-            std::move(job)));
-    const auto series_idx =
-        static_cast<std::int64_t>(seriesNames().size());
-    seriesNames().push_back(series);
-    benchmark::RegisterBenchmark(name.c_str(), BM_BankPoint)
-        ->Args({idx, banks, series_idx})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-}
-
 SweepOutcome
 synthPoint(const Probe &probe, int banks, SliceHashKind hash,
            ReplacerKind replace)
@@ -210,58 +159,73 @@ replayPoint(SliceHashKind hash, ReplacerKind replace)
     return o;
 }
 
-void
-registerAll()
+/** One row family of the figure: its series label and bank count
+ * (the x value). */
+struct Point
 {
+    std::string series;
+    int banks;
+};
+
+} // namespace
+
+int
+main()
+{
+    // The series name carries workload, hash and replacer, so
+    // replacer rows (4 banks only) leave "-" gaps at the other bank
+    // counts.
+    std::vector<Point> points;
+    std::vector<Job> jobs;
     for (const Probe &probe : kProbes) {
         for (const int banks : kBanks) {
             for (const SliceHashKind hash : coherence::allSliceHashes) {
-                const std::string tag =
-                    std::string(probe.name) + "_" +
-                    sliceHashName(hash) + "_lru";
-                registerPoint("abl_bank/" + tag + "/banks:" +
-                                  std::to_string(banks),
-                              tag, banks, [probe, banks, hash] {
-                                  return synthPoint(
-                                      probe, banks, hash,
+                points.push_back({std::string(probe.name) + "_" +
+                                      sliceHashName(hash) + "_lru",
+                                  banks});
+                jobs.push_back([probe, banks, hash] {
+                    return synthPoint(probe, banks, hash,
                                       ReplacerKind::Lru);
-                              });
+                });
             }
         }
         for (const ReplacerKind rep : cache::allReplacers) {
             if (rep == ReplacerKind::Lru)
                 continue; // the 4-bank mod+lru point is in the grid
-            const std::string tag = std::string(probe.name) +
-                                    "_mod_" + replacerName(rep);
-            registerPoint("abl_bank/" + tag + "/banks:4", tag, 4,
-                          [probe, rep] {
-                              return synthPoint(probe, 4,
-                                                SliceHashKind::Mod,
-                                                rep);
-                          });
+            points.push_back({std::string(probe.name) + "_mod_" +
+                                  replacerName(rep),
+                              4});
+            jobs.push_back([probe, rep] {
+                return synthPoint(probe, 4, SliceHashKind::Mod, rep);
+            });
         }
     }
     for (const SliceHashKind hash : coherence::allSliceHashes) {
         for (const ReplacerKind rep : cache::allReplacers) {
-            const std::string tag = std::string("replay_") +
-                                    sliceHashName(hash) + "_" +
-                                    replacerName(rep);
-            registerPoint("abl_bank/" + tag + "/banks:4", tag, 4,
-                          [hash, rep] {
-                              return replayPoint(hash, rep);
-                          });
+            points.push_back({std::string("replay_") +
+                                  sliceHashName(hash) + "_" +
+                                  replacerName(rep),
+                              4});
+            jobs.push_back([hash, rep] { return replayPoint(hash, rep); });
         }
     }
+    const auto out = runSweep(jobs);
+
+    FigureTable table;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto x = static_cast<std::uint64_t>(points[i].banks);
+        const std::string &series = points[i].series;
+        table.record(x, series + "_ms", toMs(out[i].run.ticks));
+        table.record(x, series + "_dram",
+                     static_cast<double>(out[i].run.dramAccesses));
+        for (const char *key : kValueKeys)
+            table.record(x, series + "_" + key, out[i].values.at(key));
+    }
+    return finish(table, out,
+                  "Ablation A10: L2/directory bank layer — bank count x "
+                  "slice hash x replacement policy (simulated ms, DRAM "
+                  "transactions, hottest bank's request share, peak bank "
+                  "occupancy, conflict evictions total/coherent; x = bank "
+                  "count)",
+                  "banks");
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Ablation A10: L2/directory bank layer — bank count x slice "
-    "hash x replacement policy (simulated ms, DRAM transactions, "
-    "hottest bank's request share, peak bank occupancy, conflict "
-    "evictions total/coherent; x = bank count)",
-    "banks")

@@ -24,8 +24,9 @@
 #include "system/coherence_stats.hh"
 #include "workloads/synth/synth.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -62,12 +63,8 @@ pairConfig(std::int64_t pair)
     return cfg;
 }
 
-// Simulations run up front through the BenchSweep; each job extracts
-// the pair-sensitive machine stats before its machine dies, and the
-// cases replay the outcomes in registration order.
-
 /** Fold the pair-sensitive traffic stats into the outcome before the
- * machine is destroyed (jobs run on sweep workers). */
+ * machine is destroyed. */
 void
 extractStats(system::CcsvmMachine &m, SweepOutcome &o)
 {
@@ -82,11 +79,10 @@ extractStats(system::CcsvmMachine &m, SweepOutcome &o)
 }
 
 void
-recordRow(const SweepOutcome &out, const char *workload,
-          std::int64_t pair)
+recordRow(FigureTable &table, const SweepOutcome &out,
+          const char *workload, std::int64_t pair)
 {
     const std::string series = pairName(pair) + "_" + workload;
-    auto &table = FigureTable::instance();
     const auto x = static_cast<std::uint64_t>(pair);
     table.record(x, series + "_ms", toMs(out.run.ticks));
     table.record(x, series + "_wb", out.values.at("wb"));
@@ -96,113 +92,63 @@ recordRow(const SweepOutcome &out, const char *workload,
     table.record(x, series + "_invs", out.values.at("invs"));
 }
 
-void
-BM_HeteroMatmul(benchmark::State &state)
+/** A job running @p workload on a machine configured for @p pair. */
+template <typename Fn>
+Job
+pairJob(std::int64_t pair, Fn workload)
 {
-    const std::int64_t pair = state.range(0);
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    recordRow(out, "matmul", pair);
+    return [pair, workload] {
+        system::CcsvmMachine m(pairConfig(pair));
+        SweepOutcome o;
+        o.run = workload(m);
+        extractStats(m, o);
+        return o;
+    };
 }
-
-void
-BM_HeteroSpmm(benchmark::State &state)
-{
-    const std::int64_t pair = state.range(0);
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    recordRow(out, "spmm", pair);
-}
-
-void
-BM_HeteroSynth(benchmark::State &state)
-{
-    const std::int64_t pair = state.range(0);
-    const auto pat = static_cast<synth::Pattern>(state.range(1));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    recordRow(out, synth::patternName(pat), pair);
-}
-
-void
-registerAll()
-{
-    const std::int64_t matmul_n = largeSweeps() ? 32 : 16;
-    const std::int64_t spmm_n = 32;
-    constexpr synth::Pattern kPatterns[] = {synth::Pattern::Migratory,
-                                            synth::Pattern::FalseShare};
-    for (std::int64_t pair = 0; pair < 9; ++pair) {
-        const std::string suffix = "_" + pairName(pair);
-        const auto matmul_job = static_cast<std::int64_t>(
-            BenchSweep::instance().add([pair, matmul_n] {
-                system::CcsvmMachine m(pairConfig(pair));
-                SweepOutcome o;
-                o.run = workloads::matmulXthreads(
-                    m, static_cast<unsigned>(matmul_n));
-                extractStats(m, o);
-                return o;
-            }));
-        benchmark::RegisterBenchmark(
-            ("abl_hetero/matmul" + suffix).c_str(), BM_HeteroMatmul)
-            ->Args({pair, matmul_n, matmul_job})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        const auto spmm_job = static_cast<std::int64_t>(
-            BenchSweep::instance().add([pair, spmm_n] {
-                system::CcsvmMachine m(pairConfig(pair));
-                workloads::SpmmParams p;
-                p.n = static_cast<unsigned>(spmm_n);
-                SweepOutcome o;
-                o.run = workloads::spmmXthreads(m, p);
-                extractStats(m, o);
-                return o;
-            }));
-        benchmark::RegisterBenchmark(
-            ("abl_hetero/spmm" + suffix).c_str(), BM_HeteroSpmm)
-            ->Args({pair, spmm_n, spmm_job})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        for (const synth::Pattern pat : kPatterns) {
-            const auto synth_job = static_cast<std::int64_t>(
-                BenchSweep::instance().add([pair, pat] {
-                    system::CcsvmMachine m(pairConfig(pair));
-                    synth::SynthParams p;
-                    p.pattern = pat;
-                    p.iters = 24;
-                    SweepOutcome o;
-                    o.run = synth::synthXthreads(m, p);
-                    extractStats(m, o);
-                    return o;
-                }));
-            benchmark::RegisterBenchmark(
-                ("abl_hetero/" + std::string(synth::patternName(pat)) +
-                 suffix)
-                    .c_str(),
-                BM_HeteroSynth)
-                ->Args({pair, static_cast<std::int64_t>(pat),
-                        synth_job})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-}
-
-const int registered = (registerAll(), 0);
 
 } // namespace
-} // namespace ccsvm::bench
 
-CCSVM_BENCH_MAIN(
-    "Ablation A6: per-cluster heterogeneous protocol pairs "
-    "(cpu_mttop; runtime ms, writebacks, per-cluster dirty-read "
-    "writeback split, L1 invalidations; x = pair index)",
-    "pair")
+int
+main()
+{
+    const unsigned matmul_n = largeSweeps() ? 32 : 16;
+    constexpr unsigned kSpmmN = 32;
+    constexpr synth::Pattern kPatterns[] = {synth::Pattern::Migratory,
+                                            synth::Pattern::FalseShare};
+    // Per pair: matmul, spmm, then each synth pattern.
+    std::vector<Job> jobs;
+    for (std::int64_t pair = 0; pair < 9; ++pair) {
+        jobs.push_back(pairJob(pair, [matmul_n](system::CcsvmMachine &m) {
+            return workloads::matmulXthreads(m, matmul_n);
+        }));
+        jobs.push_back(pairJob(pair, [](system::CcsvmMachine &m) {
+            workloads::SpmmParams p;
+            p.n = kSpmmN;
+            return workloads::spmmXthreads(m, p);
+        }));
+        for (const synth::Pattern pat : kPatterns) {
+            jobs.push_back(pairJob(pair, [pat](system::CcsvmMachine &m) {
+                synth::SynthParams p;
+                p.pattern = pat;
+                p.iters = 24;
+                return synth::synthXthreads(m, p);
+            }));
+        }
+    }
+    const auto out = runSweep(jobs);
+
+    FigureTable table;
+    std::size_t job = 0;
+    for (std::int64_t pair = 0; pair < 9; ++pair) {
+        recordRow(table, out[job++], "matmul", pair);
+        recordRow(table, out[job++], "spmm", pair);
+        for (const synth::Pattern pat : kPatterns)
+            recordRow(table, out[job++], synth::patternName(pat), pair);
+    }
+    return finish(table, out,
+                  "Ablation A6: per-cluster heterogeneous protocol pairs "
+                  "(cpu_mttop; runtime ms, writebacks, per-cluster "
+                  "dirty-read writeback split, L1 invalidations; x = pair "
+                  "index)",
+                  "pair");
+}

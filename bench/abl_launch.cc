@@ -17,8 +17,9 @@
 #include "runtime/xthreads.hh"
 #include "system/ccsvm_machine.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -77,98 +78,40 @@ apuLaunch(unsigned threads)
         }) - m.config().threadSpawnLatency;
 }
 
-// Simulations run up front through the BenchSweep (each experiment
-// owns its machines); the cases replay the outcomes in registration
-// order.
-
-void
-recordLaunch(benchmark::State &state, const char *series)
-{
-    const auto threads = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const double us = static_cast<double>(out.run.ticks) / tickUs;
-    state.counters["launch_us"] = us;
-    FigureTable::instance().record(threads, series, us);
-}
-
-void
-BM_CcsvmLaunch(benchmark::State &state)
-{
-    recordLaunch(state, "ccsvm_launch_us");
-}
-
-void
-BM_CcsvmLaunchSlowMifd(benchmark::State &state)
-{
-    recordLaunch(state, "ccsvm_slow_mifd_us");
-}
-
-void
-BM_ApuLaunch(benchmark::State &state)
-{
-    recordLaunch(state, "apu_launch_us");
-}
-
-std::int64_t
-addLaunchJob(std::int64_t threads, int flavor)
-{
-    return static_cast<std::int64_t>(
-        BenchSweep::instance().add([threads, flavor] {
-            const auto ut = static_cast<unsigned>(threads);
-            SweepOutcome o;
-            switch (flavor) {
-              case 0:
-                o.run.ticks = ccsvmLaunch(ut, dev::MifdConfig{});
-                break;
-              case 1: {
-                // Ablation within the ablation: a 10x slower MIFD
-                // barely moves the needle — the syscall dominates
-                // the CCSVM launch path.
-                dev::MifdConfig mifd;
-                mifd.taskAcceptLatency *= 10;
-                mifd.chunkDispatchLatency *= 10;
-                o.run.ticks = ccsvmLaunch(ut, mifd);
-                break;
-              }
-              default:
-                o.run.ticks = apuLaunch(ut);
-                break;
-            }
-            o.run.correct = true;
-            return o;
-        }));
-}
-
-void
-registerAll()
-{
-    for (std::int64_t threads : {8, 64, 256, 1024}) {
-        benchmark::RegisterBenchmark("abl_launch/ccsvm",
-                                     BM_CcsvmLaunch)
-            ->Args({threads, addLaunchJob(threads, 0)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark("abl_launch/ccsvm_slow_mifd",
-                                     BM_CcsvmLaunchSlowMifd)
-            ->Args({threads, addLaunchJob(threads, 1)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark("abl_launch/apu_opencl",
-                                     BM_ApuLaunch)
-            ->Args({threads, addLaunchJob(threads, 2)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-}
-
-const int registered = (registerAll(), 0);
-
 } // namespace
-} // namespace ccsvm::bench
 
-CCSVM_BENCH_MAIN(
-    "Ablation A1: no-op task launch latency (us) vs thread count",
-    "threads")
+int
+main()
+{
+    const unsigned thread_counts[] = {8, 64, 256, 1024};
+    const char *series[] = {"ccsvm_launch_us", "ccsvm_slow_mifd_us",
+                            "apu_launch_us"};
+    std::vector<Job> jobs;
+    for (const unsigned threads : thread_counts) {
+        jobs.push_back(ticksJob(
+            [threads] { return ccsvmLaunch(threads, dev::MifdConfig{}); }));
+        jobs.push_back(ticksJob([threads] {
+            // Ablation within the ablation: a 10x slower MIFD barely
+            // moves the needle — the syscall dominates the CCSVM
+            // launch path.
+            dev::MifdConfig mifd;
+            mifd.taskAcceptLatency *= 10;
+            mifd.chunkDispatchLatency *= 10;
+            return ccsvmLaunch(threads, mifd);
+        }));
+        jobs.push_back(ticksJob([threads] { return apuLaunch(threads); }));
+    }
+    const auto out = runSweep(jobs);
+
+    FigureTable table;
+    std::size_t job = 0;
+    for (const unsigned threads : thread_counts)
+        for (const char *s : series)
+            table.record(threads, s,
+                         static_cast<double>(out[job++].run.ticks) /
+                             tickUs);
+    return finish(table, out,
+                  "Ablation A1: no-op task launch latency (us) vs thread "
+                  "count",
+                  "threads");
+}

@@ -19,8 +19,9 @@
 #include "system/ccsvm_machine.hh"
 #include "system/coherence_stats.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -31,113 +32,74 @@ using system::l1Invalidations;
 constexpr Protocol kProtocols[] = {Protocol::MSI, Protocol::MESI,
                                    Protocol::MOESI};
 
-// Simulations run up front through the BenchSweep; each job extracts
-// the protocol-sensitive machine stats before its machine dies, and
-// the cases replay the outcomes in registration order.
-
 void
-recordRow(const SweepOutcome &out, const char *pname,
-          const char *workload, std::uint64_t x)
+recordRow(FigureTable &table, const SweepOutcome &out,
+          const char *pname, const char *workload, std::uint64_t x)
 {
     const std::string p = pname;
-    auto &table = FigureTable::instance();
-    table.record(x, p + "_" + workload + "_ms",
-                 toMs(out.run.ticks));
-    table.record(x, p + "_" + workload + "_wb",
-                 out.values.at("wb"));
+    table.record(x, p + "_" + workload + "_ms", toMs(out.run.ticks));
+    table.record(x, p + "_" + workload + "_wb", out.values.at("wb"));
     table.record(x, p + "_" + workload + "_invs",
                  out.values.at("invs"));
 }
 
-void
-BM_ProtocolMatmul(benchmark::State &state)
+/** Dense (matmul) or sparse (spmm) matmul of size @p n under
+ * @p proto, with the protocol-sensitive stats extracted before the
+ * machine dies. */
+Job
+protocolJob(Protocol proto, unsigned n, bool spmm)
 {
-    const auto proto = kProtocols[state.range(0)];
-    const auto n = static_cast<unsigned>(state.range(1));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    recordRow(out, coherence::protocolName(proto), "matmul", n);
+    return [proto, n, spmm] {
+        system::CcsvmConfig cfg;
+        cfg.protocol = proto;
+        system::CcsvmMachine m(cfg);
+        SweepOutcome o;
+        if (spmm) {
+            workloads::SpmmParams p;
+            p.n = n;
+            o.run = workloads::spmmXthreads(m, p);
+        } else {
+            o.run = workloads::matmulXthreads(m, n);
+        }
+        o.values["wb"] = static_cast<double>(dirtyWritebacks(m));
+        o.values["invs"] = static_cast<double>(l1Invalidations(m));
+        return o;
+    };
 }
 
-void
-BM_ProtocolSpmm(benchmark::State &state)
-{
-    const auto proto = kProtocols[state.range(0)];
-    const auto n = static_cast<unsigned>(state.range(1));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    recordRow(out, coherence::protocolName(proto), "spmm", n);
-}
+} // namespace
 
-std::int64_t
-addProtocolJob(std::int64_t pi, std::int64_t n, bool spmm)
+int
+main()
 {
-    return static_cast<std::int64_t>(
-        BenchSweep::instance().add([pi, n, spmm] {
-            system::CcsvmConfig cfg;
-            cfg.protocol = kProtocols[pi];
-            system::CcsvmMachine m(cfg);
-            SweepOutcome o;
-            if (spmm) {
-                workloads::SpmmParams p;
-                p.n = static_cast<unsigned>(n);
-                o.run = workloads::spmmXthreads(m, p);
-            } else {
-                o.run = workloads::matmulXthreads(
-                    m, static_cast<unsigned>(n));
-            }
-            o.values["wb"] =
-                static_cast<double>(dirtyWritebacks(m));
-            o.values["invs"] =
-                static_cast<double>(l1Invalidations(m));
-            return o;
-        }));
-}
-
-void
-registerAll()
-{
-    std::vector<std::int64_t> matmul_sizes = {16, 32};
-    std::vector<std::int64_t> spmm_sizes = {32};
+    std::vector<unsigned> matmul_sizes = {16, 32};
+    std::vector<unsigned> spmm_sizes = {32};
     if (largeSweeps()) {
         matmul_sizes.push_back(64);
         spmm_sizes.push_back(64);
     }
-    for (std::int64_t pi = 0; pi < 3; ++pi) {
-        const char *pname = coherence::protocolName(kProtocols[pi]);
-        for (const std::int64_t n : matmul_sizes) {
-            benchmark::RegisterBenchmark(
-                ("abl_protocol/matmul_" + std::string(pname))
-                    .c_str(),
-                BM_ProtocolMatmul)
-                ->Args({pi, n, addProtocolJob(pi, n, false)})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-        for (const std::int64_t n : spmm_sizes) {
-            benchmark::RegisterBenchmark(
-                ("abl_protocol/spmm_" + std::string(pname)).c_str(),
-                BM_ProtocolSpmm)
-                ->Args({pi, n, addProtocolJob(pi, n, true)})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
+    std::vector<Job> jobs;
+    for (const Protocol proto : kProtocols) {
+        for (const unsigned n : matmul_sizes)
+            jobs.push_back(protocolJob(proto, n, false));
+        for (const unsigned n : spmm_sizes)
+            jobs.push_back(protocolJob(proto, n, true));
     }
+    const auto out = runSweep(jobs);
+
+    FigureTable table;
+    std::size_t job = 0;
+    for (const Protocol proto : kProtocols) {
+        const char *pname = coherence::protocolName(proto);
+        for (const unsigned n : matmul_sizes)
+            recordRow(table, out[job++], pname, "matmul", n);
+        for (const unsigned n : spmm_sizes)
+            recordRow(table, out[job++], pname, "spmm", n);
+    }
+    return finish(table, out,
+                  "Ablation A4: coherence protocol sweep (runtime ms, "
+                  "writebacks incl. dirty-read WBs, L1 invalidations; per "
+                  "protocol and workload)",
+                  "n");
 }
 
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Ablation A4: coherence protocol sweep (runtime ms, writebacks "
-    "incl. dirty-read WBs, L1 invalidations; per protocol and "
-    "workload)",
-    "n")

@@ -24,8 +24,9 @@
 #include "system/ccsvm_machine.hh"
 #include "workloads/synth/synth.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -63,92 +64,71 @@ sumDirCounter(system::CcsvmMachine &m, const std::string &suffix)
     return total;
 }
 
-// Simulations run up front through the BenchSweep; each job extracts
-// the directory counters before its machine dies, and the cases
-// replay the outcomes in registration order.
-
-void
-BM_RegionSynth(benchmark::State &state)
+/** One synth run with its buffer under @p attr, directory counters
+ * extracted before the machine dies. */
+SweepOutcome
+regionPoint(const AttrPoint &attr, synth::Pattern pat, Protocol proto)
 {
-    const auto &attr = kAttrs[state.range(0)];
-    const auto pat = static_cast<synth::Pattern>(state.range(1));
-    const auto proto =
-        coherence::allProtocols[static_cast<std::size_t>(
-            state.range(2))];
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(3)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-
-    const std::string series = std::string(attr.name) + "_" +
-                               synth::patternName(pat) + "_" +
-                               protocolName(proto);
-    auto &table = FigureTable::instance();
-    const auto x = static_cast<std::uint64_t>(state.range(0));
-    table.record(x, series + "_ms", toMs(out.run.ticks));
-    table.record(x, series + "_dram",
-                 static_cast<double>(out.run.dramAccesses));
-    table.record(x, series + "_fills", out.values.at("fills"));
-    table.record(x, series + "_dirinvs", out.values.at("dirinvs"));
-    table.record(x, series + "_bypass", out.values.at("bypass"));
-}
-
-void
-registerAll()
-{
-    for (std::int64_t a = 0; a < 3; ++a) {
-        for (const synth::Pattern pat : kPatterns) {
-            for (std::int64_t pr = 0; pr < 3; ++pr) {
-                const auto job = static_cast<std::int64_t>(
-                    BenchSweep::instance().add([a, pat, pr] {
-                        system::CcsvmConfig cfg;
-                        cfg.protocol = coherence::allProtocols
-                            [static_cast<std::size_t>(pr)];
-                        system::CcsvmMachine m(cfg);
-                        synth::SynthParams p;
-                        p.pattern = pat;
-                        p.iters = largeSweeps() ? 24 : 8;
-                        p.regionAttr = kAttrs[a].attr;
-                        p.regionProt = kAttrs[a].prot;
-                        SweepOutcome o;
-                        o.run = synth::synthXthreads(m, p);
-                        o.values["fills"] = static_cast<double>(
-                            sumDirCounter(m, ".fetches"));
-                        o.values["dirinvs"] = static_cast<double>(
-                            sumDirCounter(m, ".invsSent.cpu") +
+    system::CcsvmConfig cfg;
+    cfg.protocol = proto;
+    system::CcsvmMachine m(cfg);
+    synth::SynthParams p;
+    p.pattern = pat;
+    p.iters = largeSweeps() ? 24 : 8;
+    p.regionAttr = attr.attr;
+    p.regionProt = attr.prot;
+    SweepOutcome o;
+    o.run = synth::synthXthreads(m, p);
+    o.values["fills"] =
+        static_cast<double>(sumDirCounter(m, ".fetches"));
+    o.values["dirinvs"] =
+        static_cast<double>(sumDirCounter(m, ".invsSent.cpu") +
                             sumDirCounter(m, ".invsSent.mttop") +
                             sumDirCounter(m, ".recalls"));
-                        o.values["bypass"] = static_cast<double>(
-                            sumDirCounter(m, ".bypassReads") +
+    o.values["bypass"] =
+        static_cast<double>(sumDirCounter(m, ".bypassReads") +
                             sumDirCounter(m, ".bypassWrites"));
-                        return o;
-                    }));
-                const std::string name =
-                    std::string("abl_region/") +
-                    synth::patternName(pat) + "_" + kAttrs[a].name +
-                    "_" +
-                    protocolName(coherence::allProtocols
-                                     [static_cast<std::size_t>(pr)]);
-                benchmark::RegisterBenchmark(name.c_str(),
-                                             BM_RegionSynth)
-                    ->Args({a, static_cast<std::int64_t>(pat), pr,
-                            job})
-                    ->Iterations(1)
-                    ->Unit(benchmark::kMillisecond);
+    return o;
+}
+
+} // namespace
+
+int
+main()
+{
+    std::vector<Job> jobs;
+    for (const AttrPoint &attr : kAttrs)
+        for (const synth::Pattern pat : kPatterns)
+            for (const Protocol proto : coherence::allProtocols)
+                jobs.push_back([attr, pat, proto] {
+                    return regionPoint(attr, pat, proto);
+                });
+    const auto out = runSweep(jobs);
+
+    FigureTable table;
+    std::size_t job = 0;
+    for (std::uint64_t x = 0; x < std::size(kAttrs); ++x) {
+        for (const synth::Pattern pat : kPatterns) {
+            for (const Protocol proto : coherence::allProtocols) {
+                const SweepOutcome &o = out[job++];
+                const std::string series = std::string(kAttrs[x].name) +
+                                           "_" + synth::patternName(pat) +
+                                           "_" + protocolName(proto);
+                table.record(x, series + "_ms", toMs(o.run.ticks));
+                table.record(x, series + "_dram",
+                             static_cast<double>(o.run.dramAccesses));
+                table.record(x, series + "_fills", o.values.at("fills"));
+                table.record(x, series + "_dirinvs",
+                             o.values.at("dirinvs"));
+                table.record(x, series + "_bypass", o.values.at("bypass"));
             }
         }
     }
+    return finish(table, out,
+                  "Ablation A7: region-based coherence — region attribute "
+                  "x synth pattern x protocol (runtime ms, DRAM "
+                  "transactions, L2 fills, directory-initiated "
+                  "invalidations incl. recalls, bypass ops; x = attribute "
+                  "index: 0 coherent, 1 bypass, 2 override:mesi)",
+                  "attr");
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Ablation A7: region-based coherence — region attribute x synth "
-    "pattern x protocol (runtime ms, DRAM transactions, L2 fills, "
-    "directory-initiated invalidations incl. recalls, bypass ops; "
-    "x = attribute index: 0 coherent, 1 bypass, 2 override:mesi)",
-    "attr")

@@ -17,8 +17,8 @@
  * scripts/bench_compare.py tracks in BENCH_replay.json against its
  * committed baseline.
  *
- * This binary measures host time, so a custom main pins
- * CCSVM_BENCH_JOBS=1; numbers from a concurrent run_figures.sh
+ * This binary measures host time, so its sweep runs on one worker
+ * whatever CCSVM_JOBS says; numbers from a concurrent run_figures.sh
  * session are indicative only.
  */
 
@@ -31,8 +31,9 @@
 #include "workloads/replay/replayer.hh"
 #include "workloads/synth/synth.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -111,45 +112,24 @@ captureReplayProbe(const char *tag, Fn &&workload)
     return o;
 }
 
-void
-BM_CaptureReplay(benchmark::State &state)
-{
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    for (const char *key :
-         {"plain_ms", "capture_ms", "replay_ms", "capture_Mev_per_s",
-          "replay_Mev_per_s", "capture_overhead_pct",
-          "replay_capture_ratio"})
-        state.counters[key] = out.values.at(key);
+} // namespace
 
-    const auto x = static_cast<std::uint64_t>(state.range(1));
-    for (const char *key :
-         {"plain_ms", "capture_ms", "replay_ms", "capture_Mev_per_s",
-          "replay_Mev_per_s", "capture_overhead_pct",
-          "replay_capture_ratio", "events"})
-        FigureTable::instance().record(x, key, out.values.at(key));
-}
-
-void
-registerAll()
+int
+main()
 {
     const unsigned n = largeSweeps() ? 48 : 24;
     const unsigned iters = largeSweeps() ? 128 : 48;
 
     // Row 0: matmul, row 1: synth:false (the bench_compare baseline
     // keys on these x values).
-    const auto matmul_job = static_cast<std::int64_t>(
-        BenchSweep::instance().add([n] {
+    const std::vector<Job> jobs{
+        [n] {
             return captureReplayProbe(
                 "matmul", [n](system::CcsvmMachine &m) {
                     return workloads::matmulXthreads(m, n);
                 });
-        }));
-    const auto synth_job = static_cast<std::int64_t>(
-        BenchSweep::instance().add([iters] {
+        },
+        [iters] {
             return captureReplayProbe(
                 "synth_false", [iters](system::CcsvmMachine &m) {
                     workloads::synth::SynthParams sp;
@@ -157,43 +137,20 @@ registerAll()
                     sp.iters = iters;
                     return workloads::synth::synthXthreads(m, sp);
                 });
-        }));
+        },
+    };
+    // One worker: every column but events is host time.
+    const auto out = runSweep(jobs, 1);
 
-    benchmark::RegisterBenchmark("abl_replay/matmul",
-                                 BM_CaptureReplay)
-        ->Args({matmul_job, 0})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("abl_replay/synth_false",
-                                 BM_CaptureReplay)
-        ->Args({synth_job, 1})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-}
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-// Custom main (see the file comment): host-time measurements need
-// the simulation sweep itself to stay sequential, whatever
-// CCSVM_BENCH_JOBS the caller exported.
-int
-main(int argc, char **argv)
-{
-    ::setenv("CCSVM_BENCH_JOBS", "1", 1);
-    ::ccsvm::setQuiet(true);
-    ::benchmark::Initialize(&argc, argv);
-    ::ccsvm::bench::BenchSweep::instance().runAll();
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::ccsvm::bench::FigureTable::instance().print(
-        "Ablation A9: trace capture/replay host cost (x: 0=matmul, "
-        "1=synth:false)",
-        "workload");
-    ::ccsvm::bench::FigureTable::instance().writeJsonFromEnv(
-        "Ablation A9: trace capture/replay host cost (x: 0=matmul, "
-        "1=synth:false)",
-        "workload");
-    return 0;
+    FigureTable table;
+    for (std::uint64_t x = 0; x < out.size(); ++x)
+        for (const char *key :
+             {"plain_ms", "capture_ms", "replay_ms", "capture_Mev_per_s",
+              "replay_Mev_per_s", "capture_overhead_pct",
+              "replay_capture_ratio", "events"})
+            table.record(x, key, out[x].values.at(key));
+    return finish(table, out,
+                  "Ablation A9: trace capture/replay host cost (x: "
+                  "0=matmul, 1=synth:false)",
+                  "workload");
 }

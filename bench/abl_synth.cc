@@ -22,8 +22,9 @@
 #include "system/coherence_stats.hh"
 #include "workloads/synth/synth.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -35,90 +36,61 @@ constexpr Protocol kProtocols[] = {Protocol::MSI, Protocol::MESI,
 /** Threads dispatched per MTTOP core (the MIFD's SIMD chunk). */
 constexpr unsigned kThreadsPerCore = 8;
 
-// Simulations run up front through the BenchSweep; each job extracts
-// the protocol-sensitive machine stats before its machine dies, and
-// the cases replay the outcomes in registration order.
-
-void
-BM_Synth(benchmark::State &state)
+/** One synth run on @p cores MTTOP cores under @p proto, with the
+ * protocol-sensitive stats extracted before the machine dies. */
+SweepOutcome
+synthPoint(Protocol proto, synth::Pattern pat, unsigned cores)
 {
-    const auto proto = kProtocols[state.range(0)];
-    const auto pat = synth::allPatterns[static_cast<std::size_t>(
-        state.range(1))];
-    const auto cores = static_cast<int>(state.range(2));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(3)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-
-    const std::string series =
-        std::string(coherence::protocolName(proto)) + "_" +
-        synth::patternName(pat);
-    auto &table = FigureTable::instance();
-    table.record(static_cast<std::uint64_t>(cores), series + "_ms",
-                 toMs(out.run.ticks));
-    table.record(static_cast<std::uint64_t>(cores), series + "_wb",
-                 out.values.at("wb"));
-    table.record(static_cast<std::uint64_t>(cores), series + "_invs",
-                 out.values.at("invs"));
+    system::CcsvmConfig cfg;
+    cfg.protocol = proto;
+    cfg.numMttopCores = static_cast<int>(cores);
+    system::CcsvmMachine m(cfg);
+    synth::SynthParams p;
+    p.pattern = pat;
+    p.threads = kThreadsPerCore * cores;
+    p.iters = 48;
+    SweepOutcome o;
+    o.run = synth::synthXthreads(m, p);
+    o.values["wb"] = static_cast<double>(system::dirtyWritebacks(m));
+    o.values["invs"] = static_cast<double>(system::l1Invalidations(m));
+    return o;
 }
 
-void
-registerAll()
+} // namespace
+
+int
+main()
 {
-    std::vector<std::int64_t> core_counts = {2, 4};
+    std::vector<unsigned> core_counts = {2, 4};
     if (largeSweeps())
         core_counts.push_back(10);
-    for (std::int64_t pi = 0; pi < 3; ++pi) {
-        const char *pname = coherence::protocolName(kProtocols[pi]);
-        for (std::size_t pat = 0; pat < synth::allPatterns.size();
-             ++pat) {
-            for (const std::int64_t cores : core_counts) {
-                const auto job = static_cast<std::int64_t>(
-                    BenchSweep::instance().add([pi, pat, cores] {
-                        system::CcsvmConfig cfg;
-                        cfg.protocol = kProtocols[pi];
-                        cfg.numMttopCores =
-                            static_cast<int>(cores);
-                        system::CcsvmMachine m(cfg);
-                        synth::SynthParams p;
-                        p.pattern = synth::allPatterns[pat];
-                        p.threads =
-                            kThreadsPerCore *
-                            static_cast<unsigned>(cores);
-                        p.iters = 48;
-                        SweepOutcome o;
-                        o.run = synth::synthXthreads(m, p);
-                        o.values["wb"] = static_cast<double>(
-                            system::dirtyWritebacks(m));
-                        o.values["invs"] = static_cast<double>(
-                            system::l1Invalidations(m));
-                        return o;
-                    }));
-                benchmark::RegisterBenchmark(
-                    ("abl_synth/" +
-                     std::string(synth::patternName(
-                         synth::allPatterns[pat])) +
-                     "_" + pname)
-                        .c_str(),
-                    BM_Synth)
-                    ->Args({pi, static_cast<std::int64_t>(pat),
-                            cores, job})
-                    ->Iterations(1)
-                    ->Unit(benchmark::kMillisecond);
+    std::vector<Job> jobs;
+    for (const Protocol proto : kProtocols)
+        for (const synth::Pattern pat : synth::allPatterns)
+            for (const unsigned cores : core_counts)
+                jobs.push_back([proto, pat, cores] {
+                    return synthPoint(proto, pat, cores);
+                });
+    const auto out = runSweep(jobs);
+
+    FigureTable table;
+    std::size_t job = 0;
+    for (const Protocol proto : kProtocols) {
+        for (const synth::Pattern pat : synth::allPatterns) {
+            const std::string series =
+                std::string(coherence::protocolName(proto)) + "_" +
+                synth::patternName(pat);
+            for (const unsigned cores : core_counts) {
+                const SweepOutcome &o = out[job++];
+                table.record(cores, series + "_ms", toMs(o.run.ticks));
+                table.record(cores, series + "_wb", o.values.at("wb"));
+                table.record(cores, series + "_invs", o.values.at("invs"));
             }
         }
     }
+    return finish(table, out,
+                  "Ablation A5: synthetic coherence patterns (runtime ms, "
+                  "writebacks incl. dirty-read WBs, L1 invalidations; per "
+                  "pattern, protocol and MTTOP core count)",
+                  "mttop_cores");
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Ablation A5: synthetic coherence patterns (runtime ms, "
-    "writebacks incl. dirty-read WBs, L1 invalidations; per "
-    "pattern, protocol and MTTOP core count)",
-    "mttop_cores")

@@ -15,8 +15,9 @@
 #include "runtime/xthreads.hh"
 #include "system/ccsvm_machine.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -25,29 +26,10 @@ using sim::GuestTask;
 using vm::VAddr;
 namespace xt = ccsvm::xthreads;
 
-// Simulations run up front through the BenchSweep (each experiment
-// owns its machines); the cases replay the outcomes in registration
-// order.
-
-void
-BM_TlbSize(benchmark::State &state)
-{
-    const auto entries = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(entries, "matmul64_ms",
-                                   toMs(r.ticks));
-}
-
 /** The shootdown-interference experiment: MTTOP threads loop over a
  * working set while the CPU unmaps/remaps a scratch page; returns the
- * run's ticks, with the wholesale MTTOP TLB flush count extracted
- * before the machine dies. */
-SweepOutcome
+ * run's ticks. */
+Tick
 shootdownExperiment(unsigned remaps)
 {
     system::CcsvmMachine m;
@@ -126,82 +108,41 @@ shootdownExperiment(unsigned remaps)
             },
             args);
     }
-    SweepOutcome o;
-    o.run.ticks = t;
-    o.run.correct = true;
-    o.values["mttop_tlb_flushes"] = static_cast<double>(
-        m.stats().sumMatching("mttop") > 0
-            ? [&] {
-                  std::uint64_t f = 0;
-                  for (int i = 0; i < m.numMttopCores(); ++i)
-                      f += m.stats().get(
-                          "mttop" + std::to_string(i) +
-                          ".tlb.flushes");
-                  return f;
-              }()
-            : 0);
-    return o;
+    return t;
 }
-
-void
-BM_Shootdown(benchmark::State &state)
-{
-    const auto remaps = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const double us = static_cast<double>(out.run.ticks) / tickUs;
-    state.counters["sim_us"] = us;
-    // Rows keyed 1000+remaps to keep them apart from the TLB sweep.
-    state.counters["mttop_tlb_flushes"] =
-        out.values.at("mttop_tlb_flushes");
-    FigureTable::instance().record(1000 + remaps,
-                                   "shootdown_run_us", us);
-}
-
-void
-registerAll()
-{
-    for (std::int64_t entries : {4, 8, 16, 64}) {
-        const auto job = static_cast<std::int64_t>(
-            BenchSweep::instance().add([entries] {
-                system::CcsvmConfig cfg;
-                cfg.cpu.tlbEntries =
-                    static_cast<unsigned>(entries);
-                cfg.mttop.tlbEntries =
-                    static_cast<unsigned>(entries);
-                SweepOutcome o;
-                o.run = workloads::matmulXthreads(64, cfg);
-                return o;
-            }));
-        benchmark::RegisterBenchmark("abl_tlb/size_sweep",
-                                     BM_TlbSize)
-            ->Args({entries, job})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    for (std::int64_t remaps : {0, 4, 16}) {
-        const auto job = static_cast<std::int64_t>(
-            BenchSweep::instance().add([remaps] {
-                return shootdownExperiment(
-                    static_cast<unsigned>(remaps));
-            }));
-        benchmark::RegisterBenchmark("abl_tlb/shootdowns",
-                                     BM_Shootdown)
-            ->Args({remaps, job})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-}
-
-const int registered = (registerAll(), 0);
 
 } // namespace
-} // namespace ccsvm::bench
 
-CCSVM_BENCH_MAIN(
-    "Ablation A3: TLB size sweep (matmul N=64 runtime, ms) and "
-    "TLB-shootdown interference (runtime, us, rows keyed "
-    "1000+remaps)",
-    "entries|1000+r")
+int
+main()
+{
+    const unsigned tlb_entries[] = {4, 8, 16, 64};
+    const unsigned remap_counts[] = {0, 4, 16};
+    std::vector<Job> jobs;
+    for (const unsigned entries : tlb_entries) {
+        jobs.push_back(workloadJob([entries] {
+            system::CcsvmConfig cfg;
+            cfg.cpu.tlbEntries = entries;
+            cfg.mttop.tlbEntries = entries;
+            return workloads::matmulXthreads(64, cfg);
+        }));
+    }
+    for (const unsigned remaps : remap_counts)
+        jobs.push_back(
+            ticksJob([remaps] { return shootdownExperiment(remaps); }));
+    const auto out = runSweep(jobs);
+
+    FigureTable table;
+    std::size_t job = 0;
+    for (const unsigned entries : tlb_entries)
+        table.record(entries, "matmul64_ms", toMs(out[job++].run.ticks));
+    // Rows keyed 1000+remaps to keep them apart from the TLB sweep.
+    for (const unsigned remaps : remap_counts)
+        table.record(1000 + remaps, "shootdown_run_us",
+                     static_cast<double>(out[job++].run.ticks) / tickUs);
+    return finish(table, out,
+                  "Ablation A3: TLB size sweep (matmul N=64 runtime, ms) "
+                  "and TLB-shootdown interference (runtime, us, rows keyed "
+                  "1000+remaps)",
+                  "entries|1000+r");
+}

@@ -17,9 +17,9 @@
  * asserted equal across rows: tracing must observe the simulation,
  * never perturb it.
  *
- * Host-time measurement, so the custom main pins CCSVM_BENCH_JOBS=1
- * like abl_replay; numbers from a concurrent run_figures.sh run are
- * indicative only.
+ * Host-time measurement, so the sweep runs on one worker whatever
+ * CCSVM_JOBS says, like abl_replay; numbers from a concurrent
+ * run_figures.sh run are indicative only.
  */
 
 #include "bench_common.hh"
@@ -29,8 +29,9 @@
 
 #include "system/ccsvm_machine.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -81,94 +82,50 @@ tracedMatmul(const char *cats, Tick sample_interval, unsigned n)
     return o;
 }
 
-void
-BM_TraceOverhead(benchmark::State &state)
-{
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    const auto &base = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
+} // namespace
 
-    // Tracing must not change a single simulated number. The hash is
-    // carried as a double, exact for the comparison's purposes: both
-    // rows round identically or the mismatch is real.
-    ccsvm_assert(out.values.at("stats_hash") ==
-                     base.values.at("stats_hash"),
-                 "tracing perturbed the simulated stats");
-
-    const double wall = out.values.at("wall_ms");
-    const double base_wall = base.values.at("wall_ms");
-    const double overhead_pct =
-        base_wall > 0 ? (wall / base_wall - 1.0) * 100.0 : 0.0;
-    state.counters["wall_ms"] = wall;
-    state.counters["recorded"] = out.values.at("recorded");
-    state.counters["overhead_pct"] = overhead_pct;
-
-    const auto row = static_cast<std::uint64_t>(state.range(0));
-    FigureTable::instance().record(row, "wall_ms", wall);
-    FigureTable::instance().record(row, "recorded",
-                                   out.values.at("recorded"));
-    FigureTable::instance().record(row, "dropped",
-                                   out.values.at("dropped"));
-    FigureTable::instance().record(row, "overhead_pct", overhead_pct);
-}
-
-void
-registerAll()
+int
+main()
 {
     const unsigned n = largeSweeps() ? 96 : 48;
     struct Setting
     {
-        const char *label;
         const char *cats;
         Tick sampleInterval;
     };
+    // Row 0 is tracing off, the baseline the other rows compare to.
     const Setting settings[] = {
-        {"off", "", 0},
-        {"coh", "coh", 0},
-        {"all+sampling", "all", 500000},
+        {"", 0},
+        {"coh", 0},
+        {"all", 500000},
     };
-    std::vector<std::int64_t> job;
+    std::vector<Job> jobs;
     for (const Setting &s : settings)
-        job.push_back(static_cast<std::int64_t>(
-            BenchSweep::instance().add([s, n] {
-                return tracedMatmul(s.cats, s.sampleInterval, n);
-            })));
-    for (std::size_t i = 0; i < job.size(); ++i) {
-        benchmark::RegisterBenchmark("abl_trace/overhead",
-                                     BM_TraceOverhead)
-            ->Args({static_cast<std::int64_t>(i), job[i], job[0]})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+        jobs.push_back(
+            [s, n] { return tracedMatmul(s.cats, s.sampleInterval, n); });
+    // One worker: overhead percentages compare host time between rows.
+    const auto out = runSweep(jobs, 1);
+
+    FigureTable table;
+    const SweepOutcome &base = out[0];
+    for (std::uint64_t row = 0; row < out.size(); ++row) {
+        const SweepOutcome &o = out[row];
+        // Tracing must not change a single simulated number. The hash
+        // is carried as a double, exact for the comparison's purposes:
+        // both rows round identically or the mismatch is real.
+        ccsvm_assert(o.values.at("stats_hash") ==
+                         base.values.at("stats_hash"),
+                     "tracing perturbed the simulated stats");
+        const double wall = o.values.at("wall_ms");
+        const double base_wall = base.values.at("wall_ms");
+        table.record(row, "wall_ms", wall);
+        table.record(row, "recorded", o.values.at("recorded"));
+        table.record(row, "dropped", o.values.at("dropped"));
+        table.record(row, "overhead_pct",
+                     base_wall > 0 ? (wall / base_wall - 1.0) * 100.0 : 0.0);
     }
-}
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-// Custom main (see the file comment): overhead percentages need the
-// simulation sweep itself to stay sequential, whatever
-// CCSVM_BENCH_JOBS the caller exported.
-int
-main(int argc, char **argv)
-{
-    ::setenv("CCSVM_BENCH_JOBS", "1", 1);
-    ::ccsvm::setQuiet(true);
-    ::benchmark::Initialize(&argc, argv);
-    ::ccsvm::bench::BenchSweep::instance().runAll();
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::ccsvm::bench::FigureTable::instance().print(
-        "Ablation A9: observability overhead (row 0 = off, 1 = coh, "
-        "2 = all + sampling)",
-        "setting");
-    ::ccsvm::bench::FigureTable::instance().writeJsonFromEnv(
-        "Ablation A9: observability overhead (row 0 = off, 1 = coh, "
-        "2 = all + sampling)",
-        "setting");
-    return 0;
+    return finish(table, out,
+                  "Ablation A9: observability overhead (row 0 = off, 1 = "
+                  "coh, 2 = all + sampling)",
+                  "setting");
 }

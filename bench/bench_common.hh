@@ -1,28 +1,32 @@
 /**
  * @file
- * Shared infrastructure for the per-figure benchmark binaries.
+ * Shared infrastructure for the per-figure bench binaries.
  *
- * Each binary registers one google-benchmark case per (system, size)
- * point; every case runs one full simulation (Iterations(1)) and
- * reports the simulated time and DRAM transactions as counters. After
- * the benchmark run, the binary prints the paper-style series (e.g.
- * "runtime relative to the AMD CPU core") so the figure can be read
- * directly off the output.
+ * Each binary is a plain sweep: main() builds one job per (system,
+ * size) point — a self-contained function running one full
+ * simulation on a machine it owns — runs the list through
+ * sim::SweepRunner::map (the engine behind `ccsvm --jobs`), records
+ * the paper-style series (e.g. "runtime relative to the AMD CPU
+ * core") into a FigureTable by indexing the results, and hands both
+ * to finish(). Results come back in job order, so stdout and
+ * BENCH_*.json are byte-identical for every worker count.
  *
  * Environment knobs:
+ *   CCSVM_JOBS=N         sweep workers (1 = sequential; default:
+ *                        hardware concurrency)
+ *   CCSVM_BENCH_JSON=P   also write the figure as JSON to P
  *   CCSVM_BENCH_LARGE=1  extend sweeps toward the paper's sizes
- *                        (longer host runtime).
+ *                        (longer host runtime)
  */
 
 #ifndef CCSVM_BENCH_BENCH_COMMON_HH
 #define CCSVM_BENCH_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,8 +48,9 @@ largeSweeps()
 
 /**
  * What one sweep job produced: the workload's RunResult (or at least
- * run.ticks for hand-rolled experiments) plus any machine stats the
- * bench reads after the run, extracted before the machine dies.
+ * run.ticks and run.correct for hand-rolled experiments) plus any
+ * machine stats the bench reads after the run, extracted before the
+ * machine dies.
  */
 struct SweepOutcome
 {
@@ -53,97 +58,69 @@ struct SweepOutcome
     std::map<std::string, double> values;
 };
 
-/**
- * The per-binary simulation sweep. Each figure binary registers one
- * job per (system, size) point at static-init time — a pure function
- * running one full simulation on a machine it owns — and
- * CCSVM_BENCH_MAIN runs them all through one sim::SweepRunner before
- * google-benchmark replays the results. The benchmark cases and the
- * FigureTable recording stay on the main thread in registration
- * order, so stdout and BENCH_*.json are byte-identical for every
- * worker count.
- *
- * Environment: CCSVM_BENCH_JOBS=N caps the workers (1 = sequential,
- * unset = CCSVM_JOBS, then hardware concurrency).
- *
- * Note jobs run regardless of --benchmark_filter: the sweep is the
- * unit of execution, the benchmark cases only read it.
- */
-class BenchSweep
+using Job = std::function<SweepOutcome()>;
+
+/** A job that runs one workload call and keeps its RunResult. */
+template <typename Fn>
+Job
+workloadJob(Fn fn)
 {
-  public:
-    static BenchSweep &
-    instance()
-    {
-        static BenchSweep s;
-        return s;
-    }
+    return [fn] {
+        SweepOutcome o;
+        o.run = fn();
+        return o;
+    };
+}
 
-    /** Register one job; returns its index (pass it to the benchmark
-     * case through an Arg). */
-    std::size_t
-    add(std::function<SweepOutcome()> job)
-    {
-        jobs_.push_back(std::move(job));
-        return jobs_.size() - 1;
-    }
+/** A job for a hand-rolled experiment that yields only its
+ * simulated time; the experiment checks its own result. */
+template <typename Fn>
+Job
+ticksJob(Fn fn)
+{
+    return [fn] {
+        SweepOutcome o;
+        o.run.ticks = fn();
+        o.run.correct = true;
+        return o;
+    };
+}
 
-    /** Run every registered job (idempotent; the first call does the
-     * simulating). */
-    void
-    runAll()
-    {
-        if (ran_)
-            return;
-        ran_ = true;
-        unsigned jobs = 0;
-        if (const char *env = std::getenv("CCSVM_BENCH_JOBS");
-            env && env[0]) {
-            char *end = nullptr;
-            const unsigned long v = std::strtoul(env, &end, 10);
-            if (!*end)
-                jobs = static_cast<unsigned>(v);
-        }
-        const sim::SweepRunner runner(jobs);
-        results_ = runner.map<SweepOutcome>(jobs_);
-    }
+/** A workload run at one size on a default machine. */
+using SizedRun = workloads::RunResult (*)(unsigned);
 
-    const SweepOutcome &
-    result(std::size_t idx)
-    {
-        runAll();
-        return results_.at(idx);
-    }
+/** One job per (system, size), system-major: systems[s] at sizes[i]
+ * is job s * sizes.size() + i. */
+inline std::vector<Job>
+sizeSweepJobs(std::initializer_list<SizedRun> systems,
+              const std::vector<unsigned> &sizes)
+{
+    std::vector<Job> jobs;
+    for (const SizedRun fn : systems)
+        for (const unsigned n : sizes)
+            jobs.push_back(workloadJob([fn, n] { return fn(n); }));
+    return jobs;
+}
 
-    /** Sum of run.ticks over every outcome — the binary's total
-     * simulated time, reported in the figure JSON. */
-    std::uint64_t
-    totalSimTicks()
-    {
-        runAll();
-        std::uint64_t total = 0;
-        for (const auto &o : results_)
-            total += o.run.ticks;
-        return total;
-    }
+/**
+ * Run every job and return the outcomes in job order. @p workers 0
+ * sizes the pool with sim::defaultSweepJobs() (CCSVM_JOBS, which it
+ * validates); the pool is sized before the simulator is quieted so
+ * a bad CCSVM_JOBS still warns.
+ */
+inline std::vector<SweepOutcome>
+runSweep(const std::vector<Job> &jobs, unsigned workers = 0)
+{
+    const sim::SweepRunner runner(workers);
+    setQuiet(true);
+    return runner.map<SweepOutcome>(jobs);
+}
 
-  private:
-    std::vector<std::function<SweepOutcome()>> jobs_;
-    std::vector<SweepOutcome> results_;
-    bool ran_ = false;
-};
-
-/** Collected series for the post-run figure table. */
+/** Collected series for the post-run figure table. Columns appear in
+ * the order their series were first recorded. */
 class FigureTable
 {
   public:
-    static FigureTable &
-    instance()
-    {
-        static FigureTable t;
-        return t;
-    }
-
     void
     record(std::uint64_t x, const std::string &series, double value)
     {
@@ -155,10 +132,7 @@ class FigureTable
     void
     print(const char *title, const char *x_label) const
     {
-        std::vector<std::string> cols(seriesNames_.size());
-        for (const auto &[name, idx] : seriesNames_)
-            cols[idx] = name;
-
+        const std::vector<std::string> cols = columns();
         std::printf("\n=== %s ===\n", title);
         std::printf("%-10s", x_label);
         for (const auto &c : cols)
@@ -179,26 +153,24 @@ class FigureTable
     }
 
     /**
-     * Write the figure as JSON: title, x label, series names, and one
-     * row object per x value. Shares the number/escape helpers with
-     * the stats registry so `BENCH_*.json` files and the ccsvm
-     * driver's output form one schema family.
+     * Write the figure as JSON: title, x label, the binary's total
+     * simulated ticks, series names, and one row object per x value.
+     * Shares the number/escape helpers with the stats registry so
+     * `BENCH_*.json` files and the ccsvm driver's output form one
+     * schema family.
      */
     bool
     writeJson(const std::string &path, const char *title,
-              const char *x_label) const
+              const char *x_label, std::uint64_t total_sim_ticks) const
     {
         std::ofstream os(path);
         if (!os)
             return false;
         os << "{\n  \"title\": \"" << sim::jsonEscape(title)
            << "\",\n  \"x_label\": \"" << sim::jsonEscape(x_label)
-           << "\",\n  \"total_sim_ticks\": "
-           << BenchSweep::instance().totalSimTicks()
+           << "\",\n  \"total_sim_ticks\": " << total_sim_ticks
            << ",\n  \"series\": [";
-        std::vector<std::string> cols(seriesNames_.size());
-        for (const auto &[name, idx] : seriesNames_)
-            cols[idx] = name;
+        const std::vector<std::string> cols = columns();
         for (std::size_t i = 0; i < cols.size(); ++i)
             os << (i ? ", " : "") << '"' << sim::jsonEscape(cols[i])
                << '"';
@@ -216,24 +188,16 @@ class FigureTable
         return bool(os.flush());
     }
 
-    /**
-     * Honor the CCSVM_BENCH_JSON environment knob: when set, write
-     * the collected figure there after the run (used by
-     * bench/run_figures.sh to sweep every figure binary).
-     */
-    void
-    writeJsonFromEnv(const char *title, const char *x_label) const
+  private:
+    std::vector<std::string>
+    columns() const
     {
-        const char *path = std::getenv("CCSVM_BENCH_JSON");
-        if (!path || !path[0])
-            return;
-        if (!writeJson(path, title, x_label))
-            std::fprintf(stderr, "cannot write %s\n", path);
-        else
-            std::printf("figure JSON written to %s\n", path);
+        std::vector<std::string> cols(seriesNames_.size());
+        for (const auto &[name, idx] : seriesNames_)
+            cols[idx] = name;
+        return cols;
     }
 
-  private:
     std::map<std::uint64_t, std::map<std::string, double>> data_;
     std::map<std::string, std::size_t> seriesNames_;
 };
@@ -244,36 +208,40 @@ toMs(Tick t)
     return static_cast<double>(t) / static_cast<double>(tickMs);
 }
 
-/** Standard counters for a workload run. */
-inline void
-setCounters(benchmark::State &state,
-            const workloads::RunResult &r)
+/**
+ * The end of every sweep binary's main(): print the figure table,
+ * write it to CCSVM_BENCH_JSON when that is set (bench/run_figures.sh
+ * sets it for every binary), and return the exit status — 1 when any
+ * outcome failed validation or the JSON could not be written.
+ */
+inline int
+finish(const FigureTable &table,
+       const std::vector<SweepOutcome> &outcomes, const char *title,
+       const char *x_label)
 {
-    state.counters["sim_ms"] = toMs(r.ticks);
-    state.counters["sim_ms_noinit"] = toMs(r.ticksNoInit);
-    state.counters["dram"] = static_cast<double>(r.dramAccesses);
-    state.counters["correct"] = r.correct ? 1 : 0;
-    if (!r.correct) {
-        state.SkipWithError("workload output failed validation");
+    table.print(title, x_label);
+    int status = 0;
+    std::uint64_t total_ticks = 0;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        total_ticks += outcomes[i].run.ticks;
+        if (!outcomes[i].run.correct) {
+            std::fprintf(stderr,
+                         "sweep job %zu of %zu failed validation\n",
+                         i, outcomes.size());
+            status = 1;
+        }
     }
+    if (const char *path = std::getenv("CCSVM_BENCH_JSON");
+        path && path[0]) {
+        if (table.writeJson(path, title, x_label, total_ticks)) {
+            std::printf("figure JSON written to %s\n", path);
+        } else {
+            std::fprintf(stderr, "cannot write %s\n", path);
+            status = 1;
+        }
+    }
+    return status;
 }
-
-/** Main with a figure table printed after the benchmark run. The
- * simulation sweep runs first (multi-threaded, see BenchSweep); the
- * benchmark cases then replay its results on this thread. */
-#define CCSVM_BENCH_MAIN(title, x_label)                              \
-    int main(int argc, char **argv)                                   \
-    {                                                                 \
-        ::ccsvm::setQuiet(true);                                      \
-        ::benchmark::Initialize(&argc, argv);                         \
-        ::ccsvm::bench::BenchSweep::instance().runAll();              \
-        ::benchmark::RunSpecifiedBenchmarks();                        \
-        ::ccsvm::bench::FigureTable::instance().print(title,          \
-                                                      x_label);       \
-        ::ccsvm::bench::FigureTable::instance().writeJsonFromEnv(     \
-            title, x_label);                                          \
-        return 0;                                                     \
-    }
 
 } // namespace ccsvm::bench
 

@@ -7,124 +7,47 @@
  * function of matrix size, with four series: APU full runtime, APU
  * without compilation/initialization, CCSVM/xthreads, and the CPU
  * core itself (=1). Sizes are scaled down from the paper's 16..1024
- * (simulator speed; see EXPERIMENTS.md): the launch-overhead
- * amortization trend — CCSVM dominating at small sizes, the APU
- * closing the gap as size grows — is visible within the sweep.
+ * for simulator speed: the launch-overhead amortization trend —
+ * CCSVM dominating at small sizes, the APU closing the gap as size
+ * grows — is visible within the sweep.
  */
 
 #include "bench_common.hh"
 
-namespace ccsvm::bench
-{
-namespace
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
 
-std::map<unsigned, double> cpu_ms; // baseline per size
-
-// The simulations run up front through the BenchSweep (one job per
-// case, registered below); the cases replay the outcomes in
-// registration order, so the relative series still see the CPU
-// baseline first.
-
-void
-BM_CpuCore(benchmark::State &state)
+int
+main()
 {
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    cpu_ms[n] = toMs(r.ticks);
-    FigureTable::instance().record(n, "cpu_rel", 1.0);
-    FigureTable::instance().record(n, "cpu_ms", toMs(r.ticks));
-}
-
-void
-BM_Ccsvm(benchmark::State &state)
-{
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        n, "ccsvm_rel", toMs(r.ticks) / cpu_ms[n]);
-}
-
-void
-BM_ApuOpenCl(benchmark::State &state)
-{
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        n, "apu_full_rel", toMs(r.ticks) / cpu_ms[n]);
-    FigureTable::instance().record(
-        n, "apu_noinit_rel", toMs(r.ticksNoInit) / cpu_ms[n]);
-}
-
-std::int64_t
-addRunJob(workloads::RunResult (*fn)(unsigned),
-          std::int64_t n)
-{
-    return static_cast<std::int64_t>(BenchSweep::instance().add(
-        [fn, n] {
-            SweepOutcome o;
-            o.run = fn(static_cast<unsigned>(n));
-            return o;
-        }));
-}
-
-void
-registerAll()
-{
-    std::vector<std::int64_t> sizes{8, 16, 32, 64};
+    std::vector<unsigned> sizes{8, 16, 32, 64};
     if (largeSweeps()) {
         sizes.push_back(96);
         sizes.push_back(128);
     }
-    auto cpu = [](unsigned n) {
-        return workloads::matmulCpuSingle(n);
-    };
-    auto ccsvm = [](unsigned n) {
-        return workloads::matmulXthreads(n);
-    };
-    auto apu = [](unsigned n) {
-        return workloads::matmulOpenCl(n);
-    };
-    for (auto n : sizes) {
-        // CPU baseline must run first: the others report relative.
-        benchmark::RegisterBenchmark("fig5/cpu_core", BM_CpuCore)
-            ->Args({n, addRunJob(cpu, n)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+    const auto out = runSweep(sizeSweepJobs(
+        {[](unsigned n) { return workloads::matmulCpuSingle(n); },
+         [](unsigned n) { return workloads::matmulXthreads(n); },
+         [](unsigned n) { return workloads::matmulOpenCl(n); }},
+        sizes));
+
+    const std::size_t ns = sizes.size();
+    FigureTable table;
+    for (std::size_t i = 0; i < ns; ++i) {
+        table.record(sizes[i], "cpu_rel", 1.0);
+        table.record(sizes[i], "cpu_ms", toMs(out[i].run.ticks));
     }
-    for (auto n : sizes) {
-        benchmark::RegisterBenchmark("fig5/ccsvm_xthreads", BM_Ccsvm)
-            ->Args({n, addRunJob(ccsvm, n)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark("fig5/apu_opencl", BM_ApuOpenCl)
-            ->Args({n, addRunJob(apu, n)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+    for (std::size_t i = 0; i < ns; ++i) {
+        const double cpu_ms = toMs(out[i].run.ticks);
+        const workloads::RunResult &apu = out[2 * ns + i].run;
+        table.record(sizes[i], "ccsvm_rel",
+                     toMs(out[ns + i].run.ticks) / cpu_ms);
+        table.record(sizes[i], "apu_full_rel", toMs(apu.ticks) / cpu_ms);
+        table.record(sizes[i], "apu_noinit_rel",
+                     toMs(apu.ticksNoInit) / cpu_ms);
     }
+    return finish(table, out,
+                  "Figure 5: matmul runtime relative to the AMD CPU core "
+                  "(lower = faster; paper is log-scale)",
+                  "N");
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Figure 5: matmul runtime relative to the AMD CPU core "
-    "(lower = faster; paper is log-scale)",
-    "N")

@@ -13,113 +13,40 @@
 
 #include "bench_common.hh"
 
-namespace ccsvm::bench
-{
-namespace
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
 
-std::map<unsigned, double> cpu_ms;
-
-// Simulations run up front through the BenchSweep; the cases replay
-// the outcomes in registration order (CPU baseline first).
-
-void
-BM_CpuCore(benchmark::State &state)
+int
+main()
 {
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    cpu_ms[n] = toMs(r.ticks);
-    FigureTable::instance().record(n, "cpu_rel", 1.0);
-    FigureTable::instance().record(n, "cpu_ms", toMs(r.ticks));
-}
-
-void
-BM_Ccsvm(benchmark::State &state)
-{
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        n, "ccsvm_rel", toMs(r.ticks) / cpu_ms[n]);
-}
-
-void
-BM_ApuOpenCl(benchmark::State &state)
-{
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        n, "apu_full_rel", toMs(r.ticks) / cpu_ms[n]);
-    FigureTable::instance().record(
-        n, "apu_noinit_rel", toMs(r.ticksNoInit) / cpu_ms[n]);
-}
-
-std::int64_t
-addRunJob(workloads::RunResult (*fn)(unsigned), std::int64_t n)
-{
-    return static_cast<std::int64_t>(
-        BenchSweep::instance().add([fn, n] {
-            SweepOutcome o;
-            o.run = fn(static_cast<unsigned>(n));
-            return o;
-        }));
-}
-
-void
-registerAll()
-{
-    std::vector<std::int64_t> sizes{8, 16, 32, 48};
+    std::vector<unsigned> sizes{8, 16, 32, 48};
     if (largeSweeps()) {
         sizes.push_back(64);
         sizes.push_back(96);
     }
-    auto cpu = [](unsigned n) {
-        return workloads::apspCpuSingle(n);
-    };
-    auto ccsvm = [](unsigned n) {
-        return workloads::apspXthreads(n);
-    };
-    auto apu = [](unsigned n) {
-        return workloads::apspOpenCl(n);
-    };
-    for (auto n : sizes) {
-        benchmark::RegisterBenchmark("fig6/cpu_core", BM_CpuCore)
-            ->Args({n, addRunJob(cpu, n)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+    const auto out = runSweep(sizeSweepJobs(
+        {[](unsigned n) { return workloads::apspCpuSingle(n); },
+         [](unsigned n) { return workloads::apspXthreads(n); },
+         [](unsigned n) { return workloads::apspOpenCl(n); }},
+        sizes));
+
+    const std::size_t ns = sizes.size();
+    FigureTable table;
+    for (std::size_t i = 0; i < ns; ++i) {
+        table.record(sizes[i], "cpu_rel", 1.0);
+        table.record(sizes[i], "cpu_ms", toMs(out[i].run.ticks));
     }
-    for (auto n : sizes) {
-        benchmark::RegisterBenchmark("fig6/ccsvm_xthreads", BM_Ccsvm)
-            ->Args({n, addRunJob(ccsvm, n)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark("fig6/apu_opencl", BM_ApuOpenCl)
-            ->Args({n, addRunJob(apu, n)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+    for (std::size_t i = 0; i < ns; ++i) {
+        const double cpu_ms = toMs(out[i].run.ticks);
+        const workloads::RunResult &apu = out[2 * ns + i].run;
+        table.record(sizes[i], "ccsvm_rel",
+                     toMs(out[ns + i].run.ticks) / cpu_ms);
+        table.record(sizes[i], "apu_full_rel", toMs(apu.ticks) / cpu_ms);
+        table.record(sizes[i], "apu_noinit_rel",
+                     toMs(apu.ticksNoInit) / cpu_ms);
     }
+    return finish(table, out,
+                  "Figure 6: all-pairs shortest path runtime relative to "
+                  "the AMD CPU core (lower = faster; paper is log-scale)",
+                  "N");
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Figure 6: all-pairs shortest path runtime relative to the AMD "
-    "CPU core (lower = faster; paper is log-scale)",
-    "N")

@@ -11,8 +11,9 @@
 
 #include "bench_common.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -25,107 +26,39 @@ params(unsigned bodies)
     return p;
 }
 
-std::map<unsigned, double> cpu_ms;
+} // namespace
 
-// Simulations run up front through the BenchSweep; the cases replay
-// the outcomes in registration order (CPU baseline first).
-
-void
-BM_CpuCore(benchmark::State &state)
+int
+main()
 {
-    const auto bodies = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    cpu_ms[bodies] = toMs(r.ticks);
-    FigureTable::instance().record(bodies, "cpu_rel", 1.0);
-    FigureTable::instance().record(bodies, "cpu_ms", toMs(r.ticks));
-}
-
-void
-BM_Ccsvm(benchmark::State &state)
-{
-    const auto bodies = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        bodies, "ccsvm_rel", toMs(r.ticks) / cpu_ms[bodies]);
-}
-
-void
-BM_Pthreads(benchmark::State &state)
-{
-    const auto bodies = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        bodies, "pthreads4_rel", toMs(r.ticks) / cpu_ms[bodies]);
-}
-
-std::int64_t
-addRunJob(workloads::RunResult (*fn)(unsigned), std::int64_t bodies)
-{
-    return static_cast<std::int64_t>(
-        BenchSweep::instance().add([fn, bodies] {
-            SweepOutcome o;
-            o.run = fn(static_cast<unsigned>(bodies));
-            return o;
-        }));
-}
-
-void
-registerAll()
-{
-    std::vector<std::int64_t> sizes{32, 64, 128};
+    std::vector<unsigned> sizes{32, 64, 128};
     if (largeSweeps()) {
         sizes.push_back(256);
         sizes.push_back(512);
     }
-    auto cpu = [](unsigned bodies) {
-        return workloads::barnesHutCpuSingle(params(bodies));
-    };
-    auto ccsvm = [](unsigned bodies) {
-        return workloads::barnesHutXthreads(params(bodies));
-    };
-    auto pthreads = [](unsigned bodies) {
-        return workloads::barnesHutPthreads(params(bodies));
-    };
-    for (auto b : sizes) {
-        benchmark::RegisterBenchmark("fig7/cpu_core", BM_CpuCore)
-            ->Args({b, addRunJob(cpu, b)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+    const auto out = runSweep(sizeSweepJobs(
+        {[](unsigned b) { return workloads::barnesHutCpuSingle(params(b)); },
+         [](unsigned b) { return workloads::barnesHutXthreads(params(b)); },
+         [](unsigned b) {
+             return workloads::barnesHutPthreads(params(b));
+         }},
+        sizes));
+
+    const std::size_t ns = sizes.size();
+    FigureTable table;
+    for (std::size_t i = 0; i < ns; ++i) {
+        table.record(sizes[i], "cpu_rel", 1.0);
+        table.record(sizes[i], "cpu_ms", toMs(out[i].run.ticks));
     }
-    for (auto b : sizes) {
-        benchmark::RegisterBenchmark("fig7/ccsvm_xthreads", BM_Ccsvm)
-            ->Args({b, addRunJob(ccsvm, b)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark("fig7/pthreads_4cpu",
-                                     BM_Pthreads)
-            ->Args({b, addRunJob(pthreads, b)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+    for (std::size_t i = 0; i < ns; ++i) {
+        const double cpu_ms = toMs(out[i].run.ticks);
+        table.record(sizes[i], "ccsvm_rel",
+                     toMs(out[ns + i].run.ticks) / cpu_ms);
+        table.record(sizes[i], "pthreads4_rel",
+                     toMs(out[2 * ns + i].run.ticks) / cpu_ms);
     }
+    return finish(table, out,
+                  "Figure 7: Barnes-Hut runtime relative to the AMD CPU "
+                  "core (lower = faster)",
+                  "bodies");
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Figure 7: Barnes-Hut runtime relative to the AMD CPU core "
-    "(lower = faster)",
-    "bodies")

@@ -12,13 +12,11 @@
 
 #include "bench_common.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
-
-std::map<std::uint64_t, double> cpu_ms_size;
-std::map<std::uint64_t, double> cpu_ms_density;
 
 workloads::SpmmParams
 sizeParams(unsigned n)
@@ -38,128 +36,50 @@ densityParams(unsigned density_permille)
     return p;
 }
 
-// Simulations run up front through the BenchSweep; the cases replay
-// the outcomes in registration order (CPU baselines first).
-
+/** The CPU-core job and the CCSVM job for one point, in that order. */
 void
-BM_SizeCpu(benchmark::State &state)
+addPair(std::vector<Job> &jobs, const workloads::SpmmParams &p)
 {
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    cpu_ms_size[n] = toMs(r.ticks);
+    jobs.push_back(workloadJob([p] { return workloads::spmmCpuSingle(p); }));
+    jobs.push_back(workloadJob([p] { return workloads::spmmXthreads(p); }));
 }
 
-void
-BM_SizeCcsvm(benchmark::State &state)
-{
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        n, "speedup_vs_cpu(size,1%)",
-        cpu_ms_size[n] / toMs(r.ticks));
-}
+} // namespace
 
-void
-BM_DensityCpu(benchmark::State &state)
-{
-    const auto permille = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    cpu_ms_density[permille] = toMs(r.ticks);
-}
-
-void
-BM_DensityCcsvm(benchmark::State &state)
-{
-    const auto permille = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        1000 + permille, "speedup_vs_cpu(density@fixedN)",
-        cpu_ms_density[permille] / toMs(r.ticks));
-}
-
-std::int64_t
-addSpmmJob(bool ccsvm, workloads::SpmmParams p)
-{
-    return static_cast<std::int64_t>(
-        BenchSweep::instance().add([ccsvm, p] {
-            SweepOutcome o;
-            o.run = ccsvm ? workloads::spmmXthreads(p)
-                          : workloads::spmmCpuSingle(p);
-            return o;
-        }));
-}
-
-void
-registerAll()
+int
+main()
 {
     // Left panel: size sweep at 1% density.
-    std::vector<std::int64_t> sizes{48, 64, 96};
+    std::vector<unsigned> sizes{48, 64, 96};
     if (largeSweeps()) {
         sizes.push_back(128);
         sizes.push_back(192);
     }
-    for (auto n : sizes)
-        benchmark::RegisterBenchmark("fig8/size/cpu_core", BM_SizeCpu)
-            ->Args({n, addSpmmJob(false, sizeParams(
-                                             static_cast<unsigned>(n)))})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    for (auto n : sizes)
-        benchmark::RegisterBenchmark("fig8/size/ccsvm_xthreads",
-                                     BM_SizeCcsvm)
-            ->Args({n, addSpmmJob(true, sizeParams(
-                                            static_cast<unsigned>(n)))})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-
     // Right panel: density sweep at fixed size (permille units; rows
     // appear in the table as 1000+permille).
-    std::vector<std::int64_t> densities{5, 10, 20, 40, 80};
-    for (auto d : densities)
-        benchmark::RegisterBenchmark("fig8/density/cpu_core",
-                                     BM_DensityCpu)
-            ->Args({d, addSpmmJob(false,
-                                  densityParams(
-                                      static_cast<unsigned>(d)))})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    for (auto d : densities)
-        benchmark::RegisterBenchmark("fig8/density/ccsvm_xthreads",
-                                     BM_DensityCcsvm)
-            ->Args({d, addSpmmJob(true,
-                                  densityParams(
-                                      static_cast<unsigned>(d)))})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+    const std::vector<unsigned> densities{5, 10, 20, 40, 80};
+
+    std::vector<Job> jobs;
+    for (const unsigned n : sizes)
+        addPair(jobs, sizeParams(n));
+    for (const unsigned d : densities)
+        addPair(jobs, densityParams(d));
+    const auto out = runSweep(jobs);
+
+    // Speedup = CPU time over CCSVM time of the same point.
+    auto speedup = [&out](std::size_t point) {
+        return toMs(out[2 * point].run.ticks) /
+               toMs(out[2 * point + 1].run.ticks);
+    };
+    FigureTable table;
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+        table.record(sizes[i], "speedup_vs_cpu(size,1%)", speedup(i));
+    for (std::size_t i = 0; i < densities.size(); ++i)
+        table.record(1000 + densities[i], "speedup_vs_cpu(density@fixedN)",
+                     speedup(sizes.size() + i));
+    return finish(table, out,
+                  "Figure 8: sparse matmul speedup of CCSVM/xthreads over "
+                  "the AMD CPU core (rows <1000: size sweep at 1% density; "
+                  "rows 1000+d: density sweep, d = permille)",
+                  "N|1000+d");
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Figure 8: sparse matmul speedup of CCSVM/xthreads over the AMD "
-    "CPU core (rows <1000: size sweep at 1% density; rows 1000+d: "
-    "density sweep, d = permille)",
-    "N|1000+d")

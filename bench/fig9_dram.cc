@@ -12,73 +12,30 @@
 
 #include "bench_common.hh"
 
-namespace ccsvm::bench
-{
-namespace
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
 
-// Simulations run up front through the BenchSweep; the cases replay
-// the outcomes in registration order.
-
-void
-BM_Dram(benchmark::State &state)
+int
+main()
 {
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto system = static_cast<int>(state.range(1));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    const char *series = system == 0   ? "cpu_dram"
-                         : system == 1 ? "ccsvm_dram"
-                                       : "apu_dram";
-    setCounters(state, r);
-    FigureTable::instance().record(
-        n, series, static_cast<double>(r.dramAccesses));
-}
-
-void
-registerAll()
-{
-    std::vector<std::int64_t> sizes{8, 16, 32, 64};
+    std::vector<unsigned> sizes{8, 16, 32, 64};
     if (largeSweeps())
         sizes.push_back(128);
-    const char *names[3] = {"fig9/cpu_core", "fig9/ccsvm_xthreads",
-                            "fig9/apu_opencl"};
-    for (auto n : sizes) {
-        for (std::int64_t sys = 0; sys < 3; ++sys) {
-            const auto job = static_cast<std::int64_t>(
-                BenchSweep::instance().add([n, sys] {
-                    const auto un = static_cast<unsigned>(n);
-                    SweepOutcome o;
-                    switch (sys) {
-                      case 0:
-                        o.run = workloads::matmulCpuSingle(un);
-                        break;
-                      case 1:
-                        o.run = workloads::matmulXthreads(un);
-                        break;
-                      default:
-                        o.run = workloads::matmulOpenCl(un);
-                        break;
-                    }
-                    return o;
-                }));
-            benchmark::RegisterBenchmark(names[sys], BM_Dram)
-                ->Args({n, sys, job})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
+    const auto out = runSweep(sizeSweepJobs(
+        {[](unsigned n) { return workloads::matmulCpuSingle(n); },
+         [](unsigned n) { return workloads::matmulXthreads(n); },
+         [](unsigned n) { return workloads::matmulOpenCl(n); }},
+        sizes));
+
+    const char *series[] = {"cpu_dram", "ccsvm_dram", "apu_dram"};
+    FigureTable table;
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+        for (std::size_t sys = 0; sys < 3; ++sys)
+            table.record(sizes[i], series[sys],
+                         static_cast<double>(
+                             out[sys * sizes.size() + i].run.dramAccesses));
+    return finish(table, out,
+                  "Figure 9: off-chip DRAM transactions for matmul "
+                  "(paper is log-scale)",
+                  "N");
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Figure 9: off-chip DRAM transactions for matmul "
-    "(paper is log-scale)",
-    "N")

@@ -3,10 +3,12 @@
 # in the spirit of gem5-coherence-benchmark's run_coherence.sh.
 #
 # The benches run concurrently, bounded by --jobs (default: nproc);
-# each binary additionally parallelizes its own simulation sweep
-# (CCSVM_BENCH_JOBS, see bench_common.hh). Per-bench wall-clock and
-# total simulated ticks are collected into BENCH_figures.json, and a
-# wall-clock summary table is printed at the end.
+# each binary additionally runs its own simulation sweep on up to
+# --jobs workers (exported as CCSVM_JOBS, see bench_common.hh). A
+# bench exits non-zero when a simulation fails validation, which
+# fails this script. Per-bench wall-clock and total simulated ticks
+# are collected into BENCH_figures.json, and a wall-clock summary
+# table is printed at the end.
 #
 # Usage: bench/run_figures.sh [build-dir] [out-dir] [--jobs N]
 #   CCSVM_BENCH_LARGE=1   extend sweeps toward the paper's sizes
@@ -68,7 +70,7 @@ run_one() {
     local t0 t1
     t0="$(now_ms)"
     if ! CCSVM_BENCH_JSON="$OUT_DIR/BENCH_$fig.json" \
-         CCSVM_BENCH_JOBS="$JOBS" \
+         CCSVM_JOBS="$JOBS" \
          "$bin" > "$OUT_DIR/$fig.log" 2>&1; then
         echo "FAILED" > "$OUT_DIR/$fig.wall_ms"
         return 1
@@ -80,7 +82,7 @@ run_one() {
 total_t0="$(now_ms)"
 
 # Launch up to $JOBS benches at a time; each also fans out its own
-# simulation sweep (the inner CCSVM_BENCH_JOBS), so the worker pool is
+# simulation sweep (the inner CCSVM_JOBS), so the worker pool is
 # shared with the kernel scheduler rather than partitioned exactly.
 pids=()
 running=0
@@ -99,7 +101,8 @@ for pid in "${pids[@]}"; do
     if ! wait "$pid" 2>/dev/null; then failed=1; fi
 done
 
-# table2_config is a plain report, not a google-benchmark sweep.
+# table2_config is a configuration report, not a sweep; a failed
+# derived-quantity check exits non-zero and stops the script (set -e).
 "$BUILD_DIR/bench/table2_config" > "$OUT_DIR/table2_config.txt"
 
 total_t1="$(now_ms)"

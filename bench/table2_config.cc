@@ -13,8 +13,9 @@
 #include "apu/apu_machine.hh"
 #include "system/ccsvm_machine.hh"
 
-namespace ccsvm::bench
-{
+using namespace ccsvm;
+using namespace ccsvm::bench;
+
 namespace
 {
 
@@ -83,63 +84,54 @@ printConfigs()
                 (unsigned long long)(a.pinnedSize / 1024 / 1024));
 }
 
-/** Derived-quantity check: relative compute throughput CPU vs CPU. */
-void
-BM_CpuThroughputRatio(benchmark::State &state)
+/** Derived-quantity check: time for the same compute-only thread on
+ * the CCSVM CPU core over the APU CPU core. */
+double
+cpuThroughputRatio()
 {
     using core::ThreadContext;
     using sim::GuestTask;
     Tick ccsvm_ticks = 0, apu_ticks = 0;
-    for (auto _ : state) {
-        {
-            system::CcsvmMachine m;
-            auto &proc = m.createProcess();
-            ccsvm_ticks = m.runMain(
-                proc,
-                [](ThreadContext &ctx, vm::VAddr) -> GuestTask {
-                    co_await ctx.compute(100000);
-                });
-        }
-        {
-            apu::ApuMachine m;
-            auto &proc = m.createProcess();
-            apu_ticks = m.runMain(
-                         proc,
-                         [](ThreadContext &ctx,
-                            vm::VAddr) -> GuestTask {
-                             co_await ctx.compute(100000);
-                         }) -
-                     m.config().threadSpawnLatency;
-        }
+    {
+        system::CcsvmMachine m;
+        auto &proc = m.createProcess();
+        ccsvm_ticks = m.runMain(
+            proc, [](ThreadContext &ctx, vm::VAddr) -> GuestTask {
+                co_await ctx.compute(100000);
+            });
     }
-    const double ratio = static_cast<double>(ccsvm_ticks) /
-                         static_cast<double>(apu_ticks);
-    state.counters["ccsvm_over_apu_cpu_time"] = ratio;
-    // Table 2: IPC 0.5 vs IPC 4 at the same clock -> 8x.
-    if (ratio < 7.5 || ratio > 8.5)
-        state.SkipWithError("CPU throughput ratio drifted from 8x");
-    FigureTable::instance().record(0, "cpu_time_ratio", ratio);
+    {
+        apu::ApuMachine m;
+        auto &proc = m.createProcess();
+        apu_ticks = m.runMain(
+                        proc,
+                        [](ThreadContext &ctx, vm::VAddr) -> GuestTask {
+                            co_await ctx.compute(100000);
+                        }) -
+                    m.config().threadSpawnLatency;
+    }
+    return static_cast<double>(ccsvm_ticks) /
+           static_cast<double>(apu_ticks);
 }
 
-const int registered = [] {
-    benchmark::RegisterBenchmark("table2/cpu_throughput_ratio",
-                                 BM_CpuThroughputRatio)
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-    return 0;
-}();
-
 } // namespace
-} // namespace ccsvm::bench
 
 int
-main(int argc, char **argv)
+main()
 {
-    ccsvm::setQuiet(true);
-    ccsvm::bench::printConfigs();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    ccsvm::bench::FigureTable::instance().print(
-        "Table 2 derived-quantity checks", "-");
+    setQuiet(true);
+    printConfigs();
+    const double ratio = cpuThroughputRatio();
+    FigureTable table;
+    table.record(0, "cpu_time_ratio", ratio);
+    table.print("Table 2 derived-quantity checks", "-");
+    // Table 2: IPC 0.5 vs IPC 4 at the same clock -> 8x.
+    if (ratio < 7.5 || ratio > 8.5) {
+        std::fprintf(stderr,
+                     "table2_config: CPU throughput ratio %.4g drifted "
+                     "from 8x\n",
+                     ratio);
+        return 1;
+    }
     return 0;
 }

@@ -104,20 +104,6 @@ class LatencyHistogram
         buckets_ = {};
     }
 
-    /** Fold another histogram's samples into this one. */
-    void
-    merge(const LatencyHistogram &o)
-    {
-        if (o.count_ == 0)
-            return;
-        count_ += o.count_;
-        sum_ += o.sum_;
-        min_ = std::min(min_, o.min_);
-        max_ = std::max(max_, o.max_);
-        for (unsigned b = 0; b < kBuckets; ++b)
-            buckets_[b] += o.buckets_[b];
-    }
-
   private:
     std::string name_;
     std::string desc_;

@@ -136,18 +136,6 @@ class Distribution
         max_ = -1e300;
     }
 
-    /** Fold another distribution's samples into this one. */
-    void
-    merge(const Distribution &o)
-    {
-        if (o.count_ == 0)
-            return;
-        count_ += o.count_;
-        sum_ += o.sum_;
-        min_ = std::min(min_, o.min_);
-        max_ = std::max(max_, o.max_);
-    }
-
   private:
     std::string name_;
     std::string desc_;
@@ -250,24 +238,6 @@ class StatRegistry
                 total += c->value();
         }
         return total;
-    }
-
-    /**
-     * Deep-copy every counter and distribution of @p other into this
-     * registry (matching names accumulate). This is how a sweep
-     * worker snapshots a machine's registry before the machine is
-     * torn down: the snapshot is plain data, safe to move across the
-     * thread boundary back to the sweep's caller.
-     */
-    void
-    absorb(const StatRegistry &other)
-    {
-        for (const auto &[name, c] : other.counters_)
-            counter(name, c->desc()) += c->value();
-        for (const auto &[name, d] : other.dists_)
-            distribution(name, d->desc()).merge(*d);
-        for (const auto &[name, h] : other.histos_)
-            histogram(name, h->desc()).merge(*h);
     }
 
     void

@@ -1,8 +1,10 @@
 #include "sim/sweep.hh"
 
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -15,9 +17,12 @@ unsigned
 defaultSweepJobs()
 {
     if (const char *env = std::getenv("CCSVM_JOBS")) {
+        // strtoul accepts a sign and wraps "-1" to ULONG_MAX, so
+        // require a leading digit and a value that fits.
         char *end = nullptr;
         const unsigned long v = std::strtoul(env, &end, 10);
-        if (env[0] && end && !*end && v > 0)
+        if (std::isdigit(static_cast<unsigned char>(env[0])) && !*end &&
+            v > 0 && v <= std::numeric_limits<unsigned>::max())
             return static_cast<unsigned>(v);
         ccsvm_warn("CCSVM_JOBS='%s' is not a positive integer; "
                    "using hardware concurrency", env);
@@ -72,16 +77,6 @@ SweepRunner::forEachIndex(
 
     if (first_error)
         std::rethrow_exception(first_error);
-}
-
-std::vector<StatRegistry>
-SweepRunner::run(const std::vector<SweepPoint> &points) const
-{
-    std::vector<StatRegistry> out(points.size());
-    forEachIndex(points.size(), [&](std::size_t i) {
-        points[i].run(out[i]);
-    });
-    return out;
 }
 
 } // namespace ccsvm::sim

@@ -24,10 +24,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
-
-#include "sim/stats.hh"
 
 namespace ccsvm::sim
 {
@@ -38,19 +35,6 @@ namespace ccsvm::sim
  * (at least 1).
  */
 unsigned defaultSweepJobs();
-
-/**
- * One design point of a declarative sweep: a name (for progress and
- * error reporting) and a self-contained task that builds its own
- * machine, runs it to completion, and snapshots whatever statistics
- * the consumer wants into the provided registry (typically via
- * StatRegistry::absorb of the machine's registry).
- */
-struct SweepPoint
-{
-    std::string name;
-    std::function<void(StatRegistry &out)> run;
-};
 
 /**
  * Executes independent tasks across a worker pool.
@@ -93,13 +77,6 @@ class SweepRunner
                      [&](std::size_t i) { out[i] = tasks[i](); });
         return out;
     }
-
-    /**
-     * The declarative form: run every point and return one stats
-     * snapshot per point, in point order.
-     */
-    std::vector<StatRegistry>
-    run(const std::vector<SweepPoint> &points) const;
 
   private:
     unsigned jobs_;

@@ -19,12 +19,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "sim/stats.hh"
 #include "sim/sweep.hh"
 #include "system/ccsvm_machine.hh"
 #include "workloads/registry.hh"
@@ -85,26 +86,6 @@ TEST(SweepRunner, WorkerExceptionPropagatesToCaller)
     EXPECT_THROW(runner.map<int>(tasks), std::runtime_error);
 }
 
-TEST(SweepRunner, RunCollectsStatRegistrySnapshots)
-{
-    std::vector<sim::SweepPoint> points;
-    for (int i = 0; i < 6; ++i) {
-        points.push_back({"p" + std::to_string(i),
-                          [i](sim::StatRegistry &out) {
-                              out.counter("point.value") +=
-                                  static_cast<std::uint64_t>(10 + i);
-                          }});
-    }
-    const sim::SweepRunner runner(3);
-    const std::vector<sim::StatRegistry> stats = runner.run(points);
-    ASSERT_EQ(stats.size(), points.size());
-    for (int i = 0; i < 6; ++i) {
-        EXPECT_EQ(stats[static_cast<std::size_t>(i)].get(
-                      "point.value"),
-                  static_cast<std::uint64_t>(10 + i));
-    }
-}
-
 TEST(SweepRunner, ZeroJobsResolvesToAtLeastOneWorker)
 {
     const sim::SweepRunner runner(0);
@@ -112,27 +93,25 @@ TEST(SweepRunner, ZeroJobsResolvesToAtLeastOneWorker)
     EXPECT_GE(sim::defaultSweepJobs(), 1u);
 }
 
-TEST(Stats, AbsorbDeepCopiesCountersAndDistributions)
+TEST(SweepRunner, DefaultJobsRejectsMalformedCcsvmJobs)
 {
-    sim::StatRegistry a;
-    a.counter("x", "a counter") += 3;
-    a.distribution("d", "a dist").record(2.0);
-    a.distribution("d").record(6.0);
-
-    sim::StatRegistry b;
-    b.counter("x") += 1;
-    b.absorb(a);
-    EXPECT_EQ(b.get("x"), 4u);
-    EXPECT_EQ(b.distribution("d").count(), 2u);
-    EXPECT_DOUBLE_EQ(b.distribution("d").mean(), 4.0);
-    EXPECT_DOUBLE_EQ(b.distribution("d").minValue(), 2.0);
-    EXPECT_DOUBLE_EQ(b.distribution("d").maxValue(), 6.0);
-
-    // The source is untouched, and absorbing an empty registry is a
-    // no-op.
-    EXPECT_EQ(a.get("x"), 3u);
-    b.absorb(sim::StatRegistry{});
-    EXPECT_EQ(b.get("x"), 4u);
+    const char *saved = std::getenv("CCSVM_JOBS");
+    const std::string restore = saved ? saved : "";
+    ::unsetenv("CCSVM_JOBS");
+    const unsigned fallback = sim::defaultSweepJobs();
+    ::setenv("CCSVM_JOBS", "3", 1);
+    EXPECT_EQ(sim::defaultSweepJobs(), 3u);
+    // A sign, a blank, a suffix, zero and a value past unsigned all
+    // fall back instead of wrapping to a huge worker count.
+    for (const char *bad :
+         {"-1", "+2", " 2", "2x", "0", "", "4294967296"}) {
+        ::setenv("CCSVM_JOBS", bad, 1);
+        EXPECT_EQ(sim::defaultSweepJobs(), fallback) << "'" << bad << "'";
+    }
+    if (saved)
+        ::setenv("CCSVM_JOBS", restore.c_str(), 1);
+    else
+        ::unsetenv("CCSVM_JOBS");
 }
 
 /** One experiment: run a workload on a fresh machine, return the
