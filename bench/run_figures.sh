@@ -41,7 +41,7 @@ fi
 
 FIGURES=(fig5_matmul fig6_apsp fig7_barneshut fig8_spmm fig9_dram
          abl_launch abl_tlb abl_atomics abl_protocol abl_synth
-         abl_hetero abl_region abl_trace abl_replay)
+         abl_hetero abl_region abl_bank abl_trace abl_replay)
 
 mkdir -p "$OUT_DIR"
 for fig in "${FIGURES[@]}"; do

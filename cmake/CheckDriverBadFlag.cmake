@@ -171,6 +171,27 @@ if(NOT err MATCHES "--mttop-cores" OR NOT err MATCHES "64")
                       "limit:\n${err}")
 endif()
 
+# Integer flags reject a sign, a leading blank and values past
+# UINT_MAX (strtoul would wrap "-1" to 4294967295): exit 2 naming the
+# flag, before any simulation.
+foreach(bad "--n;-1" "--jobs;-1" "--n;+5" "--n; 5" "--jobs;4294967296"
+            "--mttop-cores;-2")
+  list(GET bad 0 flag)
+  execute_process(
+    COMMAND ${CCSVM_DRIVER} --workload matmul ${bad}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "'${bad}' exited ${rc}, want 2\n"
+                        "stdout: ${out}\nstderr: ${err}")
+  endif()
+  if(NOT err MATCHES "${flag} needs a")
+    message(FATAL_ERROR "'${bad}' error does not name the flag:\n"
+                        "${err}")
+  endif()
+endforeach()
+
 # Flag missing its argument: exit 2.
 execute_process(
   COMMAND ${CCSVM_DRIVER} --workload

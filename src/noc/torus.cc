@@ -5,22 +5,6 @@
 namespace ccsvm::noc
 {
 
-TorusNetwork::TorusNetwork(sim::EventQueue &eq, sim::StatRegistry &stats,
-                           const std::string &name,
-                           const TorusConfig &cfg)
-    : eq_(&eq), cfg_(cfg), clock_(eq, cfg.clockPeriod),
-      linkFree_(static_cast<std::size_t>(cfg.width) * cfg.height * 4, 0),
-      packets_(stats.counter(name + ".packets", "packets injected")),
-      bytes_(stats.counter(name + ".bytes", "payload bytes injected")),
-      hops_(stats.counter(name + ".hops", "total link traversals")),
-      latency_(stats.distribution(name + ".latency",
-                                  "end-to-end packet latency (ticks)")),
-      trc_(stats.tracer()), lane_(stats.tracer().lane(name))
-{
-    ccsvm_assert(cfg.width >= 1 && cfg.height >= 1,
-                 "torus dimensions must be positive");
-}
-
 namespace
 {
 
@@ -39,27 +23,53 @@ ringDelta(int a, int b, int n)
     return d;
 }
 
+/** The hop from @p at toward @p dst on a @p w x @p h torus under XY
+ * dimension-order routing with shortest wrap. Links are numbered 4
+ * per node: +X -X +Y -Y. */
+TorusNetwork::Route
+routeFor(NodeId at, NodeId dst, int w, int h)
+{
+    const int ax = at % w, ay = at / w;
+    const int dx = ringDelta(ax, dst % w, w);
+    if (dx != 0) {
+        const int nx = (ax + (dx > 0 ? 1 : w - 1)) % w;
+        return {ay * w + nx, at * 4 + (dx > 0 ? 0 : 1)};
+    }
+    const int dy = ringDelta(ay, dst / w, h);
+    if (dy != 0) {
+        const int ny = (ay + (dy > 0 ? 1 : h - 1)) % h;
+        return {ny * w + ax, at * 4 + (dy > 0 ? 2 : 3)};
+    }
+    return {at, -1};
+}
+
 } // namespace
+
+TorusNetwork::TorusNetwork(sim::EventQueue &eq, sim::StatRegistry &stats,
+                           const std::string &name,
+                           const TorusConfig &cfg)
+    : eq_(&eq), cfg_(cfg), clock_(eq, cfg.clockPeriod),
+      linkFree_(static_cast<std::size_t>(cfg.width) * cfg.height * 4, 0),
+      packets_(stats.counter(name + ".packets", "packets injected")),
+      bytes_(stats.counter(name + ".bytes", "payload bytes injected")),
+      hops_(stats.counter(name + ".hops", "total link traversals")),
+      latency_(stats.distribution(name + ".latency",
+                                  "end-to-end packet latency (ticks)")),
+      trc_(stats.tracer()), lane_(stats.tracer().lane(name))
+{
+    ccsvm_assert(cfg.width >= 1 && cfg.height >= 1,
+                 "torus dimensions must be positive");
+    const int n = cfg.width * cfg.height;
+    routes_.reserve(static_cast<std::size_t>(n) * n);
+    for (NodeId at = 0; at < n; ++at)
+        for (NodeId dst = 0; dst < n; ++dst)
+            routes_.push_back(routeFor(at, dst, cfg.width, cfg.height));
+}
 
 NodeId
 TorusNetwork::nextHop(NodeId at, NodeId dst) const
 {
-    const int w = cfg_.width;
-    const int h = cfg_.height;
-    const int ax = at % w, ay = at / w;
-    const int dx_pos = dst % w, dy_pos = dst / w;
-
-    const int dx = ringDelta(ax, dx_pos, w);
-    if (dx != 0) {
-        const int nx = (ax + (dx > 0 ? 1 : -1) + w) % w;
-        return ay * w + nx;
-    }
-    const int dy = ringDelta(ay, dy_pos, h);
-    if (dy != 0) {
-        const int ny = (ay + (dy > 0 ? 1 : -1) + h) % h;
-        return ny * w + ax;
-    }
-    return at;
+    return route(at, dst).next;
 }
 
 int
@@ -74,22 +84,6 @@ TorusNetwork::hopCount(NodeId src, NodeId dst) const
                      "routing loop from %d to %d", src, dst);
     }
     return hops;
-}
-
-int
-TorusNetwork::linkIndex(NodeId from, NodeId to) const
-{
-    const int w = cfg_.width;
-    const int h = cfg_.height;
-    const int fx = from % w, fy = from / w;
-    const int tx = to % w, ty = to / w;
-    int dir;
-    if (fy == ty) {
-        dir = ((fx + 1) % w == tx) ? 0 : 1; // +X : -X
-    } else {
-        dir = ((fy + 1) % h == ty) ? 2 : 3; // +Y : -Y
-    }
-    return from * 4 + dir;
 }
 
 Tick
@@ -138,8 +132,9 @@ TorusNetwork::forward(PacketId id, NodeId at)
         arrive(id);
         return;
     }
-    const NodeId next = nextHop(at, pkt.dst);
-    const int link = linkIndex(at, next);
+    const Route &r = route(at, pkt.dst);
+    const NodeId next = r.next;
+    const int link = r.link;
 
     const Tick ser = serializationTicks(pkt.bytes);
     const Tick depart = std::max(clock_.clockEdge(), linkFree_[link]);

@@ -57,6 +57,13 @@ class TorusNetwork : public Network
     /** Minimal hop count between two nodes (for tests). */
     int hopCount(NodeId src, NodeId dst) const;
 
+    /** The hop from one node toward a destination. */
+    struct Route
+    {
+        NodeId next; ///< next node (the node itself at the destination)
+        int link;    ///< index into linkFree_, or -1 at the destination
+    };
+
   private:
     /** An in-flight packet. It waits in inFlight_ (delivery closure
      * and all) while its hop events carry only its slot index, so a
@@ -70,8 +77,13 @@ class TorusNetwork : public Network
     };
     using PacketId = std::uint32_t;
 
-    /** Directional link index from @p from to adjacent @p to. */
-    int linkIndex(NodeId from, NodeId to) const;
+    const Route &
+    route(NodeId at, NodeId dst) const
+    {
+        const std::size_t n =
+            static_cast<std::size_t>(cfg_.width) * cfg_.height;
+        return routes_[at * n + dst];
+    }
 
     /** Advance packet @p id from node @p at; called once per hop. */
     void forward(PacketId id, NodeId at);
@@ -85,6 +97,9 @@ class TorusNetwork : public Network
     sim::ClockDomain clock_;
     /** busy-until tick per directional link (4 per node: +X -X +Y -Y). */
     std::vector<Tick> linkFree_;
+    /** Route from every node to every destination, at * numNodes() +
+     * dst, computed once so a hop does no modulo arithmetic. */
+    std::vector<Route> routes_;
     std::vector<Packet> inFlight_;
     std::vector<PacketId> freeSlots_;
 

@@ -298,17 +298,6 @@ CcsvmMachine::run(Tick limit)
         step();
 }
 
-bool
-CcsvmMachine::runUntil(const std::function<bool()> &done, Tick limit)
-{
-    while (!done()) {
-        if (eq_.empty() || eq_.peekWhen() > limit)
-            return false;
-        step();
-    }
-    return true;
-}
-
 std::uint64_t
 CcsvmMachine::dramAccesses() const
 {

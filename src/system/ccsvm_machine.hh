@@ -16,6 +16,7 @@
 #ifndef CCSVM_SYSTEM_CCSVM_MACHINE_HH
 #define CCSVM_SYSTEM_CCSVM_MACHINE_HH
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -180,8 +181,17 @@ class CcsvmMachine : public runtime::FunctionalMem
      * after every event) or the machine drains.
      * @return true iff the predicate fired
      */
-    bool runUntil(const std::function<bool()> &done,
-                  Tick limit = sim::EventQueue::maxTick);
+    template <typename Done>
+    bool
+    runUntil(Done &&done, Tick limit = sim::EventQueue::maxTick)
+    {
+        while (!done()) {
+            if (eq_.empty() || eq_.peekWhen() > limit)
+                return false;
+            step();
+        }
+        return true;
+    }
 
     /** Current simulated time. */
     Tick now() const { return eq_.now(); }

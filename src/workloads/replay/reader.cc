@@ -100,13 +100,18 @@ class Cursor
 std::vector<std::uint8_t>
 slurp(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         throw std::runtime_error("cannot open trace file '" + path +
                                  "'");
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
+    // One read of the whole file: an istreambuf_iterator copy goes a
+    // byte at a time.
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(in.tellg()));
+    in.seekg(0);
+    if (!in.read(reinterpret_cast<char *>(bytes.data()),
+                 static_cast<std::streamsize>(bytes.size())))
+        throw std::runtime_error("cannot read trace file '" + path +
+                                 "'");
     return bytes;
 }
 

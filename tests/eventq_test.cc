@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -126,24 +127,143 @@ TEST(EventQueue, RunUntilReturnsFalseWhenDrained)
     EXPECT_FALSE(ok);
 }
 
+TEST(EventQueue, PushBeforeRefilledTickReBuckets)
+{
+    // run(limit) stops once peekWhen() has refilled past the limit,
+    // leaving now() behind the queue's refilled tick. A push landing
+    // in between must come out first, ahead of events already pulled
+    // into the same-tick heap.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(100, [&] { order.push_back(100); });
+    eq.schedule(200, [&] { order.push_back(201); }, prioCpu);
+    eq.schedule(200, [&] { order.push_back(200); });
+    eq.schedule(300, [&] { order.push_back(300); });
+    EXPECT_EQ(eq.run(150), 100u);
+    EXPECT_EQ(eq.peekWhen(), 200u);
+
+    eq.schedule(170, [&] { order.push_back(170); });
+    EXPECT_EQ(eq.peekWhen(), 170u);
+    eq.schedule(160, [&] { order.push_back(160); });
+    eq.schedule(200, [&] { order.push_back(199); }, prioNetwork);
+    eq.schedule(100, [&] { order.push_back(101); });
+    EXPECT_EQ(eq.peekWhen(), 100u);
+    EXPECT_EQ(eq.size(), 7u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{100, 101, 160, 170, 199, 200,
+                                       201, 300}));
+    EXPECT_EQ(eq.now(), 300u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.peekWhen(), EventQueue::maxTick);
+}
+
+TEST(EventQueue, PushAfterPeekInsideAnEvent)
+{
+    // An event may peek (which refills past now()) and then schedule
+    // at now(): the new event still runs before the peeked one.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(10, [&] {
+        order.push_back(1);
+        EXPECT_EQ(eq.peekWhen(), 50u);
+        eq.schedule(10, [&] { order.push_back(2); }, prioStats);
+        eq.schedule(49, [&] { order.push_back(3); });
+    });
+    eq.schedule(50, [&] { order.push_back(4); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueue, SameTickTiesFromRefillAndDirectPush)
+{
+    // Events at tick 40 reach the same-tick heap two ways: pushed
+    // before the queue reached 40 (they wait in a bucket and arrive
+    // by refill) and pushed while tick 40 runs (straight in). Both
+    // must interleave by (priority, seq).
+    EventQueue eq;
+    std::vector<char> order;
+    eq.schedule(40, [&] {
+        order.push_back('A');
+        eq.schedule(40, [&] { order.push_back('C'); }, prioCpu);
+        eq.schedule(40, [&] { order.push_back('E'); }, prioStats);
+        eq.schedule(40, [&] { order.push_back('B'); }, prioNetwork);
+        eq.schedule(40, [&] { order.push_back('D'); }, prioCpu);
+    }, prioDefault);
+    eq.schedule(40, [&] { order.push_back('c'); }, prioCpu);
+    eq.schedule(40, [&] { order.push_back('a'); }, prioNetwork);
+    // Earlier ticks that share the bucket with 40 force a partial
+    // refill first.
+    eq.schedule(33, [&] { order.push_back('0'); }, prioStats);
+    eq.schedule(41, [&] { order.push_back('Z'); }, prioNetwork);
+    eq.run();
+    // 'a' (prio -10, bucketed) first, then 'A' (prio 0); 'B' was
+    // pushed at prio -10 while 40 ran, so it beats everything left.
+    // At prioCpu the bucketed 'c' has the lowest seq, then C, D.
+    EXPECT_EQ(std::string(order.begin(), order.end()), "0aABcCDEZ");
+}
+
+TEST(EventQueue, TicksNearTopOfRange)
+{
+    // Keys that differ in bit 63 and keys at the very top of the
+    // range, with the queue's refilled tick crossing 2^63.
+    constexpr Tick half = Tick{1} << 63;
+    EventQueue eq;
+    std::vector<Tick> seen;
+    const auto note = [&] { seen.push_back(eq.now()); };
+    eq.schedule(EventQueue::maxTick, note);
+    eq.schedule(half + 1, note);
+    eq.schedule(half - 1, [&] {
+        note();
+        eq.schedule(half, note, prioNetwork);
+        eq.schedule(EventQueue::maxTick - 1, note);
+    });
+    eq.schedule(7, note);
+    eq.schedule(half, note, prioStats);
+    EXPECT_EQ(eq.run(half - 2), 7u);
+    EXPECT_EQ(eq.peekWhen(), half - 1);
+    eq.schedule(half - 2, note);
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<Tick>{7, half - 2, half - 1, half, half,
+                                       half + 1, EventQueue::maxTick - 1,
+                                       EventQueue::maxTick}));
+    EXPECT_EQ(eq.now(), EventQueue::maxTick);
+    EXPECT_TRUE(eq.empty());
+}
+
 TEST(EventQueue, RandomScheduleMatchesReferenceSort)
 {
     // ~20k events at random ticks and priorities, 8k of them
     // scheduled from inside running callbacks (so freed slots are
-    // reused and the pool grows mid-run). Execution must follow a
-    // reference sort by (when, priority, insertion order).
+    // reused and the pool grows mid-run). The host drives the queue
+    // through run(limit) to random limits and schedules between the
+    // calls, and both the host and events peek at random points, so
+    // pushes land behind the queue's refilled tick. Execution must
+    // follow a reference sort by (when, priority, insertion order),
+    // and every peek must name the earliest pending tick.
     struct Sched
     {
         Tick when;
         int priority;
         std::uint64_t id;
     };
+    /** A peekWhen() result with how many events had run and been
+     * scheduled when it was taken. */
+    struct Peek
+    {
+        Tick when;
+        std::size_t ran;
+        std::size_t scheduled;
+    };
     EventQueue eq;
     std::mt19937_64 rng(20130421);
     std::vector<Sched> scheduled;
     std::vector<std::uint64_t> ran;
+    std::vector<Peek> peeks;
     std::uint64_t corrupt = 0;
 
+    const auto peek = [&] {
+        peeks.push_back({eq.peekWhen(), ran.size(), scheduled.size()});
+    };
     // Every closure carries a payload that must survive slot reuse
     // and pool growth.
     std::function<void(Tick, int)> add = [&](Tick when, int prio) {
@@ -155,6 +275,8 @@ TEST(EventQueue, RandomScheduleMatchesReferenceSort)
             for (std::uint64_t w : payload)
                 corrupt += w != id * 0x9e3779b97f4a7c15ull;
             ran.push_back(id);
+            if (rng() % 16 == 0)
+                peek();
             // One or two follow-ups from a third of the events, so
             // one slot is freed and up to two are taken in a row.
             const unsigned kids = rng() % 3 == 0 ? 1 + rng() % 2 : 0;
@@ -172,7 +294,17 @@ TEST(EventQueue, RandomScheduleMatchesReferenceSort)
     };
     for (int i = 0; i < 12000; ++i)
         add(rng() % 5000, static_cast<int>(rng() % 5) - 2);
-    eq.run();
+    while (!eq.empty()) {
+        if (rng() % 2 == 0)
+            peek();
+        const Tick limit = eq.now() + rng() % 128;
+        EXPECT_LE(eq.run(limit), limit);
+        // Strictly after now(), so it sorts after everything that
+        // ran; often before the tick run(limit) stopped at.
+        if (rng() % 2 == 0 && scheduled.size() < 20000)
+            add(eq.now() + 1 + rng() % 64,
+                static_cast<int>(rng() % 5) - 2);
+    }
 
     std::vector<Sched> ref = scheduled;
     std::sort(ref.begin(), ref.end(), [](const Sched &a, const Sched &b) {
@@ -187,6 +319,19 @@ TEST(EventQueue, RandomScheduleMatchesReferenceSort)
     EXPECT_EQ(corrupt, 0u);
     EXPECT_EQ(eq.eventsExecuted(), scheduled.size());
     EXPECT_TRUE(eq.empty());
+
+    // A peek's answer is the earliest tick among the events that had
+    // been scheduled then but had not yet run.
+    EXPECT_GT(peeks.size(), 500u);
+    std::size_t wrong = 0;
+    for (const Peek &p : peeks) {
+        Tick earliest = EventQueue::maxTick;
+        for (std::size_t k = p.ran; k < ran.size(); ++k)
+            if (ran[k] < p.scheduled)
+                earliest = std::min(earliest, scheduled[ran[k]].when);
+        wrong += p.when != earliest;
+    }
+    EXPECT_EQ(wrong, 0u);
 }
 
 TEST(EventQueue, MoveOnlyCapture)

@@ -39,6 +39,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -267,12 +268,17 @@ unsigned
 parseUnsigned(const char *name, const char *value,
               bool allow_zero = false)
 {
+    // strtoul skips leading blanks, accepts a sign and wraps "-1" to
+    // ULONG_MAX, so require a leading digit and a value that fits.
     char *end = nullptr;
     const unsigned long v = std::strtoul(value, &end, 10);
-    if (!value[0] || *end || (v == 0 && !allow_zero)) {
-        std::fprintf(stderr, "ccsvm: %s needs a %s integer, "
-                     "got '%s'\n", name,
-                     allow_zero ? "non-negative" : "positive", value);
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end ||
+        v > std::numeric_limits<unsigned>::max() ||
+        (v == 0 && !allow_zero)) {
+        std::fprintf(stderr, "ccsvm: %s needs a %s integer of at most "
+                     "%u, got '%s'\n", name,
+                     allow_zero ? "non-negative" : "positive",
+                     std::numeric_limits<unsigned>::max(), value);
         std::exit(2);
     }
     return static_cast<unsigned>(v);
@@ -637,7 +643,8 @@ parseArgs(int argc, char **argv)
             const char *v = next();
             char *end = nullptr;
             o.cfg.sampleInterval = std::strtoull(v, &end, 10);
-            if (!v[0] || (end && *end)) {
+            if (!std::isdigit(static_cast<unsigned char>(v[0])) ||
+                *end) {
                 std::fprintf(stderr,
                              "ccsvm: --sample-interval needs a tick "
                              "count, got '%s'\n", v);
