@@ -133,17 +133,16 @@ TorusNetwork::forward(PacketId id, NodeId at)
         return;
     }
     const Route &r = route(at, pkt.dst);
-    const NodeId next = r.next;
-    const int link = r.link;
 
     const Tick ser = serializationTicks(pkt.bytes);
-    const Tick depart = std::max(clock_.clockEdge(), linkFree_[link]);
-    linkFree_[link] = depart + ser;
+    const Tick depart = std::max(clock_.clockEdge(), linkFree_[r.link]);
+    linkFree_[r.link] = depart + ser;
     const Tick arrival =
         depart + ser + clock_.cyclesToTicks(cfg_.hopLatency);
     ++hops_;
 
-    eq_->schedule(arrival, [this, id, next] { forward(id, next); },
+    eq_->schedule(arrival,
+                  [this, id, next = r.next] { forward(id, next); },
                   sim::prioNetwork);
 }
 
