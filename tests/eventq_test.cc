@@ -66,12 +66,9 @@ TEST(EventQueue, EventsMayScheduleMoreEvents)
 
 TEST(EventQueue, SameTickChurnKeepsDeterministicOrder)
 {
-    // Regression for the heap extraction rewrite: runOne used to
-    // move-construct from the priority_queue's top and rely on the
-    // comparator never reading the moved-from callback. The pop_heap
-    // form must keep (priority, seq) order exact while callbacks
-    // schedule more same-tick events mid-run, which reallocates the
-    // heap under the extraction.
+    // (priority, seq) order must stay exact while callbacks schedule
+    // more same-tick events mid-run, which grows (and may reallocate)
+    // the due run under the extraction.
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(7, [&] {
