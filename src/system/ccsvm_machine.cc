@@ -22,6 +22,14 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
             " MTTOP cores exceed the directory's " +
             std::to_string(coherence::maxL1s) + "-L1 sharer mask");
     }
+    // The MIFD dispatches whole SIMD chunks; a core with fewer
+    // contexts than one chunk could never accept work.
+    if (cfg_.mttop.numContexts < cfg_.mifd.simdWidth) {
+        throw std::invalid_argument(
+            std::to_string(cfg_.mttop.numContexts) +
+            " MTTOP contexts per core cannot hold one " +
+            std::to_string(cfg_.mifd.simdWidth) + "-thread chunk");
+    }
 
     // Bind each cluster's protocol (defaulting to the chip-wide one)
     // to its L1s, and teach the directory banks the cluster split so

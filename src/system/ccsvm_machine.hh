@@ -148,7 +148,8 @@ class CcsvmMachine : public runtime::FunctionalMem
 {
   public:
     /** @throws std::invalid_argument for more than coherence::maxL1s
-     * cores or an unparseable trace-category list. */
+     * cores, fewer MTTOP contexts than the MIFD's SIMD width, or an
+     * unparseable trace-category list. */
     explicit CcsvmMachine(CcsvmConfig cfg = {});
     ~CcsvmMachine() override;
 

@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,13 +70,24 @@ class AddressSpace
     /** CR3 for this process. */
     Addr cr3() const { return pageTable_.root(); }
 
-    /** Reserve a virtual region (no frames yet: lazy allocation). */
+    /**
+     * Reserve a virtual region (no frames yet: lazy allocation).
+     * @throws std::length_error when the guest heap cannot hold
+     * @p bytes more; the heap is left unchanged.
+     */
     VAddr
     reserve(Addr bytes)
     {
+        // The room left is page-aligned, so comparing before rounding
+        // is exact, and a huge request cannot wrap the rounding.
+        if (bytes > AddressLayout::heapLimit - heapBrk_) {
+            throw std::length_error(
+                "guest heap exhausted: " + std::to_string(bytes) +
+                " bytes requested, " +
+                std::to_string(AddressLayout::heapLimit - heapBrk_) +
+                " left");
+        }
         const Addr aligned = roundUp(bytes, mem::pageBytes);
-        ccsvm_assert(heapBrk_ + aligned <= AddressLayout::heapLimit,
-                     "guest heap exhausted");
         const VAddr va = heapBrk_;
         heapBrk_ += aligned;
         return va;

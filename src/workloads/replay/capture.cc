@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 #include "base/logging.hh"
 #include "mem/phys_mem.hh"
@@ -181,10 +182,9 @@ TraceCapture::arm(runtime::Process &proc, mem::PhysMem &phys)
     ccsvm_assert(!armed_ && !finalized_,
                  "trace capture armed twice");
     out_.open(path_, std::ios::binary | std::ios::trunc);
-    if (!out_) {
-        ccsvm_panic("cannot open capture output '%s'",
-                    path_.c_str());
-    }
+    if (!out_)
+        throw std::runtime_error("cannot open capture output '" + path_ +
+                                 "'");
     as_ = &proc.addressSpace();
 
     // Fixed 64-byte header.

@@ -94,7 +94,8 @@ class TraceCapture
     TraceCapture &operator=(const TraceCapture &) = delete;
 
     /** Start recording: write the header, region table, and the
-     * premap snapshot of @p proc's current page mappings. */
+     * premap snapshot of @p proc's current page mappings.
+     * @throws std::runtime_error when the output cannot be opened. */
     void arm(runtime::Process &proc, mem::PhysMem &phys);
 
     bool armed() const { return armed_ && !finalized_; }

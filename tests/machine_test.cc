@@ -67,6 +67,17 @@ TEST(Machine, RejectsMoreL1sThanTheSharerMask)
     EXPECT_NO_THROW(CcsvmMachine m(cfg));
 }
 
+TEST(Machine, RejectsFewerContextsThanOneSimdChunk)
+{
+    // A core that cannot hold one MIFD chunk would never be handed
+    // work, so the first launch would wait forever.
+    CcsvmConfig cfg;
+    cfg.mttop.numContexts = cfg.mifd.simdWidth - 1;
+    EXPECT_THROW(CcsvmMachine m(cfg), std::invalid_argument);
+    cfg.mttop.numContexts = cfg.mifd.simdWidth;
+    EXPECT_NO_THROW(CcsvmMachine m(cfg));
+}
+
 TEST(Machine, CpuThreadRunsAndExits)
 {
     CcsvmMachine m;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "mem/dram.hh"
 #include "mem/phys_mem.hh"
 #include "sim/eventq.hh"
@@ -353,6 +355,21 @@ TEST_F(VmFixture, AddressSpaceReserveGrowsHeap)
     EXPECT_EQ(a, AddressLayout::heapBase);
     EXPECT_EQ(b, a + mem::pageBytes);
     EXPECT_EQ(c, b + 2 * mem::pageBytes);
+}
+
+TEST_F(VmFixture, OversizeReserveThrowsAndLeavesHeapUnchanged)
+{
+    Kernel kernel(eq, stats, phys, {}, 0x100000, 32 * 1024 * 1024);
+    auto as = kernel.createAddressSpace();
+    const VAddr a = as->reserve(mem::pageBytes);
+    const Addr left = AddressLayout::heapLimit - as->heapBrk();
+    EXPECT_THROW(as->reserve(left + 1), std::length_error);
+    // A request near 2^64 must not wrap the page rounding to zero.
+    EXPECT_THROW(as->reserve(~Addr(0)), std::length_error);
+    EXPECT_EQ(as->heapBrk(), a + mem::pageBytes);
+    // The rest of the heap is still there, to the last byte.
+    EXPECT_EQ(as->reserve(left), a + mem::pageBytes);
+    EXPECT_EQ(as->heapBrk(), AddressLayout::heapLimit);
 }
 
 TEST_F(VmFixture, FrameAllocatorRecyclesFreedFrames)

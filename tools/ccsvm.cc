@@ -26,6 +26,13 @@
  * not consume produces a warning on stderr instead of silently doing
  * nothing.
  *
+ * Every flag is one row of flagTable: its name, argument kind, help
+ * text, the range its value must fall in (bounds taken from the
+ * model: the 64-L1 sharer mask, the MIFD's SIMD width, the 1 GiB
+ * guest heap) and the option it sets. One loop parses the command
+ * line from the table and --help is rendered from it, so every
+ * rejection exits 2 naming the flag.
+ *
  * The JSON file carries a "sim" summary (ticks, executed events, DRAM
  * transactions, validation verdict) plus the complete
  * counter/distribution registry, in the same shape the figure
@@ -33,18 +40,23 @@
  * machine-readable artifact this repo produces.
  */
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "base/intmath.hh"
 #include "cache/replacer.hh"
 #include "coherence/protocol.hh"
 #include "coherence/slice_hash.hh"
@@ -114,135 +126,17 @@ struct PointOutput
     bool correct = false;
 };
 
-void
-usage(const char *argv0, std::FILE *out = stdout)
+/** Report a CLI error as "ccsvm: <message>" on stderr and exit 2. */
+[[noreturn]] __attribute__((format(printf, 1, 2))) void
+reject(const char *fmt, ...)
 {
-    const auto &reg = workloads::WorkloadRegistry::instance();
-    std::fprintf(
-        out,
-        "usage: %s [options]\n"
-        "\n"
-        "workload selection:\n"
-        "  --workload NAMES    one of (comma-separate to sweep): %s\n"
-        "                      (default matmul)\n"
-        "  --list-workloads    list every workload with its summary "
-        "and flags\n"
-        "\n"
-        "parallel sweeps (multiple --workload/--protocol values form "
-        "a grid;\nsee README \"Parallel sweeps\"):\n"
-        "  --jobs N            run sweep points on N worker threads\n"
-        "                      (default: hardware concurrency; 1 = "
-        "sequential\n"
-        "                      order; results are deterministic "
-        "either way)\n"
-        "\n"
-        "workload parameters (each consumed only by some workloads;\n"
-        "setting one the selected workload ignores warns):\n"
-        "  --n N               matrix dimension for matmul/apsp/spmm "
-        "(default 32)\n"
-        "  --bodies N          barneshut body count (default 256)\n"
-        "  --steps N           barneshut time steps (default 2)\n"
-        "  --density F         spmm non-zero fraction (default 0.01)\n"
-        "  --seed N            barneshut/spmm input seed, "
-        "synth:ptrchase ring seed\n"
-        "  --iters N           synth main-loop iterations per thread "
-        "(default 64)\n"
-        "  --synth-threads N   synth MTTOP traffic threads "
-        "(default 16)\n"
-        "  --rpw N             synth extra reads per write "
-        "(default 4)\n"
-        "  --footprint-kb K    synth stream/ptrchase total footprint "
-        "(default 64)\n"
-        "  --stride B          synth stream/ptrchase access stride "
-        "bytes (default 64)\n"
-        "  --sharing N         synth sharing degree: threads/line "
-        "(false), lines (readmostly)\n"
-        "\n"
-        "region-based coherence (see README \"Region-based "
-        "coherence\"):\n"
-        "  --region N:B:S:A    declare virtual region named N at "
-        "page-aligned base B,\n"
-        "                      size S (0x-hex or decimal, K/M "
-        "suffixes) with attribute A:\n"
-        "                      coherent | bypass | readmostly | a "
-        "protocol name\n"
-        "                      (protocol name = coherent under that "
-        "protocol; repeatable)\n"
-        "  --region-hints      apply the workload's default region "
-        "annotations\n"
-        "                      (synth:stream buffer -> bypass, "
-        "matmul A/B -> readmostly)\n"
-        "\n"
-        "machine configuration (defaults = paper Table 2):\n"
-        "  --protocol P[,P..]  chip-wide coherence protocol: %s "
-        "(default moesi;\n"
-        "                      a comma list sweeps the protocol "
-        "axis)\n"
-        "  --cpu-protocol P    CPU-cluster protocol (default: "
-        "--protocol)\n"
-        "  --mttop-protocol P  MTTOP-cluster protocol (default: "
-        "--protocol)\n"
-        "  --list-protocols    list every protocol name, one per "
-        "line\n"
-        "  --cpu-cores N       in-order CPU cores (default 4)\n"
-        "  --mttop-cores N     MTTOP cores (default 10)\n"
-        "  --mttop-contexts N  thread contexts per MTTOP core "
-        "(default 128)\n"
-        "  --l2-banks N        L2/directory bank count (default 4)\n"
-        "  --cpu-l1-kb K       CPU L1 size (default 64)\n"
-        "  --mttop-l1-kb K     MTTOP L1 size (default 16)\n"
-        "  --l2-bank-kb K      per-bank L2 size (default 1024)\n"
-        "  --slice-hash H[,H..]\n"
-        "                      home-slice (bank-select) hash: %s\n"
-        "                      (default mod; a comma list sweeps the "
-        "hash axis;\n"
-        "                      see README \"Sharded home banks\")\n"
-        "  --list-slice-hashes\n"
-        "                      list every slice-hash name, one per "
-        "line\n"
-        "  --l2-replace R[,R..]\n"
-        "                      L2/directory replacement policy: %s\n"
-        "                      (default lru; a comma list sweeps the "
-        "replacer axis)\n"
-        "  --list-replacers    list every replacement-policy name, "
-        "one per line\n"
-        "  --dram-ns N         flat DRAM latency (default 100)\n"
-        "  --no-swmr           disable the SWMR checker (faster host "
-        "run)\n"
-        "\n"
-        "output:\n"
-        "  --json FILE         write summary + full stats registry as "
-        "JSON\n"
-        "                      (FILE '-' = stdout; summaries/--stats "
-        "move to stderr)\n"
-        "  --stats             dump the stats registry as text on "
-        "stdout\n"
-        "observability (see README \"Observability\"):\n"
-        "  --trace-out FILE    write a Chrome trace-event JSON "
-        "(single point only;\n"
-        "                      load in Perfetto / chrome://tracing)\n"
-        "  --trace-categories LIST\n"
-        "                      comma list of coh,noc,vm,kernel or "
-        "all\n"
-        "                      (default all when --trace-out is set)\n"
-        "  --sample-interval TICKS\n"
-        "                      sample counter totals every TICKS into "
-        "a \"series\"\n"
-        "                      section of the JSON (0 = off)\n"
-        "trace capture & replay (see README \"Trace capture & "
-        "replay\"):\n"
-        "  --capture-out FILE  record the guest memory-op stream to a "
-        ".ccsvmt\n"
-        "                      trace (single point only; format in "
-        "docs/TRACE_FORMAT.md)\n"
-        "  --trace FILE        the .ccsvmt trace --workload replay "
-        "re-issues\n"
-        "  --verbose           keep simulator log output\n"
-        "  --help              this text\n",
-        argv0, reg.nameList(" | ").c_str(),
-        coherence::protocolNameList(" | ").c_str(),
-        coherence::sliceHashNameList(" | ").c_str(),
-        cache::replacerNameList(" | ").c_str());
+    std::fputs("ccsvm: ", stderr);
+    va_list ap;
+    va_start(ap, fmt);
+    std::vfprintf(stderr, fmt, ap);
+    va_end(ap);
+    std::fputc('\n', stderr);
+    std::exit(2);
 }
 
 void
@@ -259,104 +153,28 @@ listWorkloads()
     }
 }
 
-/**
- * Parse the next argument of flag @p name as an unsigned integer.
- * Count-like flags (core counts, sizes) reject 0; flags where 0 is
- * meaningful (--seed, --steps, --dram-ns, --rpw) pass @p allow_zero.
- */
-unsigned
-parseUnsigned(const char *name, const char *value,
-              bool allow_zero = false)
-{
-    // strtoul skips leading blanks, accepts a sign and wraps "-1" to
-    // ULONG_MAX, so require a leading digit and a value that fits.
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(value, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end ||
-        v > std::numeric_limits<unsigned>::max() ||
-        (v == 0 && !allow_zero)) {
-        std::fprintf(stderr, "ccsvm: %s needs a %s integer of at most "
-                     "%u, got '%s'\n", name,
-                     allow_zero ? "non-negative" : "positive",
-                     std::numeric_limits<unsigned>::max(), value);
-        std::exit(2);
-    }
-    return static_cast<unsigned>(v);
-}
-
-/** Parse a protocol name for a --protocol-family flag; exits 2 with
- * the accepted names (from the same table --list-protocols prints)
- * on an unknown value. */
-coherence::Protocol
-parseProtocol(const char *name, const char *value)
-{
-    coherence::Protocol p;
-    if (!coherence::protocolFromName(value, p)) {
-        std::fprintf(stderr,
-                     "ccsvm: %s wants one of %s, got '%s'\n", name,
-                     coherence::protocolNameList(", ").c_str(), value);
-        std::exit(2);
-    }
-    return p;
-}
-
-/** Parse a slice-hash name for --slice-hash; exits 2 with the
- * accepted names (the --list-slice-hashes table) on unknown. */
-coherence::SliceHashKind
-parseSliceHash(const char *name, const char *value)
-{
-    coherence::SliceHashKind k;
-    if (!coherence::sliceHashFromName(value, k)) {
-        std::fprintf(stderr,
-                     "ccsvm: %s wants one of %s, got '%s'\n", name,
-                     coherence::sliceHashNameList(", ").c_str(),
-                     value);
-        std::exit(2);
-    }
-    return k;
-}
-
-/** Parse a replacement-policy name for --l2-replace; exits 2 with
- * the accepted names (the --list-replacers table) on unknown. */
-cache::ReplacerKind
-parseReplacer(const char *name, const char *value)
-{
-    cache::ReplacerKind k;
-    if (!cache::replacerFromName(value, k)) {
-        std::fprintf(stderr,
-                     "ccsvm: %s wants one of %s, got '%s'\n", name,
-                     cache::replacerNameList(", ").c_str(), value);
-        std::exit(2);
-    }
-    return k;
-}
-
 /** Parse a byte count: 0x-hex or decimal, optional K/M/G suffix. */
 Addr
 parseBytes(const char *flag, const std::string &value)
 {
     char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 0);
-    Addr bytes = v;
-    if (end && end[0] && !end[1]) {
+    errno = 0;
+    const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
+    unsigned shift = 0;
+    if (end[0] && !end[1]) {
         switch (std::tolower(static_cast<unsigned char>(end[0]))) {
-          case 'k': bytes = v * 1024ull; end = nullptr; break;
-          case 'm': bytes = v * 1024ull * 1024; end = nullptr; break;
-          case 'g':
-            bytes = v * 1024ull * 1024 * 1024;
-            end = nullptr;
-            break;
+          case 'k': shift = 10; ++end; break;
+          case 'm': shift = 20; ++end; break;
+          case 'g': shift = 30; ++end; break;
         }
     }
-    if (value.empty() || (end && *end)) {
-        std::fprintf(stderr,
-                     "ccsvm: %s needs a byte count (hex/decimal, "
-                     "optional K/M/G), got '%s'\n",
-                     flag, value.c_str());
-        std::exit(2);
+    // Like the integer flags: no blank, no sign, nothing that wraps.
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end ||
+        errno == ERANGE || v > (~0ull >> shift)) {
+        reject("%s needs a byte count (hex/decimal, optional K/M/G), "
+               "got '%s'", flag, value.c_str());
     }
-    return bytes;
+    return v << shift;
 }
 
 /**
@@ -368,14 +186,6 @@ parseBytes(const char *flag, const std::string &value)
 vm::MemRegion
 parseRegion(const std::string &spec)
 {
-    auto fail = [&spec](const char *why) {
-        std::fprintf(stderr,
-                     "ccsvm: --region wants name:base:size:attr "
-                     "(%s), got '%s'\n",
-                     why, spec.c_str());
-        std::exit(2);
-    };
-
     std::vector<std::string> parts;
     std::size_t pos = 0;
     while (parts.size() < 4) {
@@ -390,8 +200,10 @@ parseRegion(const std::string &spec)
             break;
         pos = colon + 1;
     }
-    if (parts.size() != 4 || parts[0].empty() || parts[3].empty())
-        fail("four colon-separated fields");
+    if (parts.size() != 4 || parts[0].empty() || parts[3].empty()) {
+        reject("--region wants name:base:size:attr (four "
+               "colon-separated fields), got '%s'", spec.c_str());
+    }
 
     vm::MemRegion r;
     r.name = parts[0];
@@ -413,23 +225,17 @@ parseRegion(const std::string &spec)
         r.attr = coherence::RegionAttr::ProtocolOverride;
         r.protocol = prot;
     } else {
-        std::fprintf(stderr,
-                     "ccsvm: --region attribute wants coherent, "
-                     "bypass, readmostly or one of %s, got '%s'\n",
-                     coherence::protocolNameList(", ").c_str(),
-                     attr.c_str());
-        std::exit(2);
+        reject("--region attribute wants coherent, bypass, readmostly "
+               "or one of %s, got '%s'",
+               coherence::protocolNameList(", ").c_str(), attr.c_str());
     }
 
     if (r.size == 0 || r.base % mem::pageBytes != 0 ||
-        r.size % mem::pageBytes != 0) {
-        std::fprintf(stderr,
-                     "ccsvm: --region '%s' must be page-aligned "
-                     "(base=0x%llx size=0x%llx, page=%u)\n",
-                     r.name.c_str(), (unsigned long long)r.base,
-                     (unsigned long long)r.size,
-                     unsigned(mem::pageBytes));
-        std::exit(2);
+        r.size % mem::pageBytes != 0 || r.base + r.size < r.base) {
+        reject("--region '%s' must be page-aligned and end below 2^64 "
+               "(base=0x%llx size=0x%llx, page=%u)",
+               r.name.c_str(), (unsigned long long)r.base,
+               (unsigned long long)r.size, unsigned(mem::pageBytes));
     }
     return r;
 }
@@ -445,12 +251,9 @@ splitList(const char *flag, const std::string &value)
         const std::string item = value.substr(
             pos, comma == std::string::npos ? std::string::npos
                                             : comma - pos);
-        if (item.empty()) {
-            std::fprintf(stderr,
-                         "ccsvm: %s has an empty element in '%s'\n",
-                         flag, value.c_str());
-            std::exit(2);
-        }
+        if (item.empty())
+            reject("%s has an empty element in '%s'", flag,
+                   value.c_str());
         out.push_back(item);
         if (comma == std::string::npos)
             break;
@@ -459,17 +262,375 @@ splitList(const char *flag, const std::string &value)
     return out;
 }
 
-double
-parseDouble(const char *name, const char *value)
+// --- the flag table ---------------------------------------------------
+// One row per flag drives parsing, range checks and --help, so a flag
+// added later gets all three by construction.
+
+/** How a row reads its argument. */
+enum class Kind
 {
+    Section,  ///< not a flag: a --help section title
+    // The numeric kinds, Count to Fraction, carry a range.
+    Count,    ///< unsigned integer in [lo, hi]
+    Tick,     ///< 64-bit tick count in [lo, hi]
+    Fraction, ///< real number in [lo, hi]
+    Names,    ///< name(s) from one of the model's enum tables
+    Text,     ///< text the setter checks (lists, specs, file names)
+    Switch,   ///< no argument
+    Action,   ///< no argument; prints something and exits 0
+};
+using K = Kind;
+
+struct Flag;
+
+/** One argument as its row's kind read it. */
+struct Arg
+{
+    const Flag &row;
+    const char *text;    ///< the raw argument; argv[0] for an Action
+    std::uint64_t n = 0; ///< a Count/Tick value
+    double x = 0;        ///< a Fraction value
+};
+
+struct Flag
+{
+    Kind kind;
+    const char *name;    ///< "" for a Section
+    const char *metavar; ///< "" for Section/Switch/Action rows
+    const char *help;    ///< --help lines; a Section's title
+    /** Store the checked argument into the options. */
+    void (*set)(DriverOptions &, const Arg &) = nullptr;
+    /** Inclusive range of a Count/Tick/Fraction value. */
+    std::uint64_t lo = 0, hi = 0;
+    /** A workload parameter: setting one the selected workload does
+     * not consume warns (WorkloadRegistry::warnIgnoredFlags). */
+    bool workloadParam = false;
+    /** The accepted names (Names rows and --workload). */
+    std::string (*choices)(std::string_view sep) = nullptr;
+
+    bool numeric() const { return kind >= K::Count && kind <= K::Fraction; }
+};
+
+// Ranges come from the model, so a value the simulator cannot hold is
+// a CLI error naming the flag, never a host crash or a hang.
+constexpr std::uint64_t uintMax = std::numeric_limits<unsigned>::max();
+constexpr std::uint64_t tickMax = std::numeric_limits<Tick>::max();
+/** The guest heap every workload allocation comes from (1 GiB). */
+constexpr std::uint64_t heapBytes =
+    vm::AddressLayout::heapLimit - vm::AddressLayout::heapBase;
+constexpr std::uint64_t heapKb = heapBytes / 1024;
+/** Cache lines in the heap: bounds per-line counts, and the body
+ * count (every Barnes-Hut body owns a line-sized tree node). */
+constexpr std::uint64_t heapLines = heapBytes / mem::blockBytes;
+/** Largest power-of-two n whose n x n matrix of 32-bit elements fits
+ * in the heap. */
+constexpr std::uint64_t maxMatrixDim =
+    std::uint64_t(1) << (floorLog2(heapBytes / 4) / 2);
+/** The MIFD dispatches whole SIMD chunks; a core with fewer contexts
+ * never fits one. */
+constexpr std::uint64_t minContexts = dev::MifdConfig{}.simdWidth;
+/** Every context may run a thread on its own guest stack; one core's
+ * stacks must fit in a heap's worth of address space. */
+constexpr std::uint64_t maxContexts =
+    heapBytes / vm::AddressLayout::stackSize;
+
+/** A numeric argument: in [lo, hi], and starting with a digit (or a
+ * fraction's "."), because strtoull and strtod skip blanks and take
+ * signs, and strtoull wraps "-1". */
+void
+parseNumber(const Flag &f, Arg &a)
+{
+    const bool frac = f.kind == K::Fraction;
     char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (!value[0] || *end) {
-        std::fprintf(stderr, "ccsvm: %s needs a number, got '%s'\n",
-                     name, value);
-        std::exit(2);
+    errno = 0;
+    bool in_range;
+    if (frac) {
+        a.x = std::strtod(a.text, &end);
+        in_range = a.x >= double(f.lo) && a.x <= double(f.hi); // not nan
+    } else {
+        a.n = std::strtoull(a.text, &end, 10);
+        in_range = a.n >= f.lo && a.n <= f.hi;
     }
-    return v;
+    const char c = a.text[0];
+    if (!(std::isdigit(static_cast<unsigned char>(c)) ||
+          (frac && c == '.')) ||
+        *end || errno == ERANGE || !in_range) {
+        reject("%s needs %s in [%llu, %llu], got '%s'", f.name,
+               frac ? "a number" : "an integer", (unsigned long long)f.lo,
+               (unsigned long long)f.hi, a.text);
+    }
+}
+
+/**
+ * Parsing for the Names rows over one of the model's enum tables
+ * (@p all, printed by @p name, parsed by @p fromName). A bad name
+ * exits 2 listing the row's choices, the names the --list action
+ * prints.
+ */
+template <const auto &all, auto name, auto fromName>
+struct Names
+{
+    using E = std::decay_t<decltype(all[0])>;
+
+    static E
+    parse(const Flag &row, const std::string &value)
+    {
+        E e;
+        if (!fromName(value, e)) {
+            reject("%s wants one of %s, got '%s'", row.name,
+                   row.choices(", ").c_str(), value.c_str());
+        }
+        return e;
+    }
+
+    /** One name. */
+    static E one(const Arg &a) { return parse(a.row, a.text); }
+
+    /** A comma list: one sweep axis. */
+    static std::vector<E>
+    list(const Arg &a)
+    {
+        std::vector<E> out;
+        for (const std::string &v : splitList(a.row.name, a.text))
+            out.push_back(parse(a.row, v));
+        return out;
+    }
+
+    /** The --list action: every name, one per line. */
+    static void
+    print(DriverOptions &, const Arg &)
+    {
+        for (const E e : all)
+            std::printf("%s\n", name(e));
+    }
+};
+
+using Protocols = Names<coherence::allProtocols, coherence::protocolName,
+                        coherence::protocolFromName>;
+using SliceHashes = Names<coherence::allSliceHashes, coherence::sliceHashName,
+                          coherence::sliceHashFromName>;
+using Replacers = Names<cache::allReplacers, cache::replacerName,
+                        cache::replacerFromName>;
+
+void usage(const char *argv0, std::FILE *out);
+
+using O = DriverOptions;
+constexpr bool wl = true; ///< Flag::workloadParam
+
+const Flag flagTable[] = {
+    {K::Section, "", "", "workload selection:"},
+    {K::Text, "--workload", "NAMES",
+     "workload(s) to run; a comma list sweeps (default matmul)",
+     [](O &o, const Arg &a) { o.workloads = splitList(a.row.name, a.text); },
+     0, 0, false, [](std::string_view sep) {
+         return workloads::WorkloadRegistry::instance().nameList(
+             std::string(sep).c_str());
+     }},
+    {K::Action, "--list-workloads", "",
+     "list every workload with its summary and flags",
+     [](O &, const Arg &) { listWorkloads(); }},
+
+    {K::Section, "", "",
+     "parallel sweeps (multiple --workload/--protocol values form a "
+     "grid;\nsee README \"Parallel sweeps\"):"},
+    {K::Count, "--jobs", "N",
+     "run sweep points on N worker threads\n(default: hardware "
+     "concurrency; 1 = sequential\norder; results are deterministic "
+     "either way)",
+     [](O &o, const Arg &a) { o.jobs = a.n; }, 0, uintMax},
+
+    {K::Section, "", "",
+     "workload parameters (each consumed only by some workloads;\n"
+     "setting one the selected workload ignores warns):"},
+    {K::Count, "--n", "N",
+     "matrix dimension for matmul/apsp/spmm (default 32)",
+     [](O &o, const Arg &a) { o.params.n = a.n; }, 1, maxMatrixDim, wl},
+    {K::Count, "--bodies", "N", "barneshut body count (default 256)",
+     [](O &o, const Arg &a) { o.params.bh.bodies = a.n; }, 1, heapLines, wl},
+    {K::Count, "--steps", "N", "barneshut time steps (default 2)",
+     [](O &o, const Arg &a) { o.params.bh.steps = a.n; }, 0, uintMax, wl},
+    {K::Fraction, "--density", "F", "spmm non-zero fraction (default 0.01)",
+     [](O &o, const Arg &a) { o.params.spmm.density = a.x; }, 0, 1, wl},
+    {K::Count, "--seed", "N",
+     "barneshut/spmm input seed, synth:ptrchase ring seed",
+     [](O &o, const Arg &a) {
+         o.params.bh.seed = o.params.spmm.seed = o.params.synth.seed =
+             o.params.matmulSeed = a.n;
+     },
+     0, uintMax, wl},
+    {K::Count, "--iters", "N",
+     "synth main-loop iterations per thread (default 64)",
+     [](O &o, const Arg &a) { o.params.synth.iters = a.n; }, 1, uintMax, wl},
+    {K::Count, "--synth-threads", "N",
+     "synth MTTOP traffic threads (default 16)",
+     [](O &o, const Arg &a) { o.params.synth.threads = a.n; }, 1, uintMax, wl},
+    {K::Count, "--rpw", "N", "synth extra reads per write (default 4)",
+     [](O &o, const Arg &a) { o.params.synth.readsPerWrite = a.n; }, 0,
+     uintMax, wl},
+    {K::Count, "--footprint-kb", "K",
+     "synth stream/ptrchase total footprint (default 64)",
+     [](O &o, const Arg &a) { o.params.synth.footprintBytes = a.n * 1024; },
+     1, heapKb, wl},
+    {K::Count, "--stride", "B",
+     "synth stream/ptrchase access stride bytes (default 64)",
+     [](O &o, const Arg &a) { o.params.synth.strideBytes = a.n; }, 1,
+     heapBytes, wl},
+    {K::Count, "--sharing", "N",
+     "synth sharing degree: threads/line (false), lines\n(readmostly), "
+     "conflicting lines/thread (conflict)",
+     [](O &o, const Arg &a) { o.params.synth.sharingDegree = a.n; }, 1,
+     heapLines, wl},
+
+    {K::Section, "", "",
+     "region-based coherence (see README \"Region-based coherence\"):"},
+    {K::Text, "--region", "N:B:S:A",
+     "declare virtual region named N at page-aligned base B,\nsize S "
+     "(0x-hex or decimal, K/M suffixes) with attribute A:\ncoherent | "
+     "bypass | readmostly | a protocol name\n(protocol name = coherent "
+     "under that protocol; repeatable)",
+     [](O &o, const Arg &a) { o.cfg.regions.push_back(parseRegion(a.text)); }},
+    {K::Switch, "--region-hints", "",
+     "apply the workload's default region annotations\n(synth:stream "
+     "buffer -> bypass, matmul A/B -> readmostly)",
+     [](O &o, const Arg &) { o.params.regionHints = true; }, 0, 0, wl},
+
+    {K::Section, "", "", "machine configuration (defaults = paper Table 2):"},
+    {K::Names, "--protocol", "P[,P..]",
+     "chip-wide coherence protocol (default moesi;\na comma list sweeps "
+     "the protocol axis)",
+     [](O &o, const Arg &a) { o.protocols = Protocols::list(a); }, 0, 0,
+     false, coherence::protocolNameList},
+    {K::Names, "--cpu-protocol", "P",
+     "CPU-cluster protocol (default: --protocol)",
+     [](O &o, const Arg &a) { o.cfg.cpuProtocol = Protocols::one(a); }, 0,
+     0, false, coherence::protocolNameList},
+    {K::Names, "--mttop-protocol", "P",
+     "MTTOP-cluster protocol (default: --protocol)",
+     [](O &o, const Arg &a) { o.cfg.mttopProtocol = Protocols::one(a); }, 0,
+     0, false, coherence::protocolNameList},
+    {K::Action, "--list-protocols", "",
+     "list every protocol name, one per line", Protocols::print},
+    {K::Count, "--cpu-cores", "N", "in-order CPU cores (default 4)",
+     [](O &o, const Arg &a) { o.cfg.numCpuCores = int(a.n); }, 1,
+     coherence::maxL1s},
+    {K::Count, "--mttop-cores", "N", "MTTOP cores (default 10)",
+     [](O &o, const Arg &a) { o.cfg.numMttopCores = int(a.n); }, 1,
+     coherence::maxL1s},
+    {K::Count, "--mttop-contexts", "N",
+     "thread contexts per MTTOP core (default 128)",
+     [](O &o, const Arg &a) { o.cfg.mttop.numContexts = a.n; }, minContexts,
+     maxContexts},
+    // Every bank is a torus node and the torus keeps an all-pairs
+    // route table, so banks share the L1 bound.
+    {K::Count, "--l2-banks", "N", "L2/directory bank count (default 4)",
+     [](O &o, const Arg &a) { o.cfg.numL2Banks = int(a.n); }, 1,
+     coherence::maxL1s},
+    {K::Count, "--cpu-l1-kb", "K", "CPU L1 size (default 64)",
+     [](O &o, const Arg &a) { o.cfg.cpuL1.sizeBytes = a.n * 1024; }, 1,
+     heapKb},
+    {K::Count, "--mttop-l1-kb", "K", "MTTOP L1 size (default 16)",
+     [](O &o, const Arg &a) { o.cfg.mttopL1.sizeBytes = a.n * 1024; }, 1,
+     heapKb},
+    {K::Count, "--l2-bank-kb", "K", "per-bank L2 size (default 1024)",
+     [](O &o, const Arg &a) { o.cfg.l2.bankSizeBytes = a.n * 1024; }, 1,
+     heapKb},
+    {K::Names, "--slice-hash", "H[,H..]",
+     "home-slice (bank-select) hash (default mod;\na comma list sweeps "
+     "the hash axis;\nsee README \"Sharded home banks\")",
+     [](O &o, const Arg &a) { o.sliceHashes = SliceHashes::list(a); }, 0,
+     0, false, coherence::sliceHashNameList},
+    {K::Action, "--list-slice-hashes", "",
+     "list every slice-hash name, one per line", SliceHashes::print},
+    {K::Names, "--l2-replace", "R[,R..]",
+     "L2/directory replacement policy (default lru;\na comma list sweeps "
+     "the replacer axis)",
+     [](O &o, const Arg &a) { o.replacers = Replacers::list(a); }, 0, 0,
+     false, cache::replacerNameList},
+    {K::Action, "--list-replacers", "",
+     "list every replacement-policy name, one per line", Replacers::print},
+    {K::Count, "--dram-ns", "N", "flat DRAM latency (default 100)",
+     [](O &o, const Arg &a) { o.cfg.dram.accessLatency = a.n * tickNs; }, 0,
+     uintMax},
+    {K::Switch, "--no-swmr", "", "disable the SWMR checker (faster host run)",
+     [](O &o, const Arg &) { o.cfg.swmrChecks = false; }},
+
+    {K::Section, "", "", "output:"},
+    {K::Text, "--json", "FILE",
+     "write summary + full stats registry as JSON\n(FILE '-' = stdout; "
+     "summaries/--stats move to stderr)",
+     [](O &o, const Arg &a) { o.jsonPath = a.text; }},
+    {K::Switch, "--stats", "", "dump the stats registry as text on stdout",
+     [](O &o, const Arg &) { o.textStats = true; }},
+
+    {K::Section, "", "", "observability (see README \"Observability\"):"},
+    {K::Text, "--trace-out", "FILE",
+     "write a Chrome trace-event JSON (single point only;\nload in "
+     "Perfetto / chrome://tracing)",
+     [](O &o, const Arg &a) { o.traceOut = a.text; }},
+    {K::Text, "--trace-categories", "LIST",
+     "comma list of coh,noc,vm,kernel or all\n(default all when "
+     "--trace-out is set)",
+     [](O &o, const Arg &a) {
+         unsigned mask = 0;
+         if (!sim::Tracer::parseCategories(a.text, mask)) {
+             reject("--trace-categories wants a comma list of coh, noc, "
+                    "vm, kernel or all, got '%s'", a.text);
+         }
+         o.traceCategories = a.text;
+     }},
+    {K::Tick, "--sample-interval", "TICKS",
+     "sample counter totals every TICKS into a \"series\"\nsection of the "
+     "JSON (0 = off)",
+     [](O &o, const Arg &a) { o.cfg.sampleInterval = a.n; }, 0, tickMax},
+
+    {K::Section, "", "",
+     "trace capture & replay (see README \"Trace capture & replay\"):"},
+    {K::Text, "--capture-out", "FILE",
+     "record the guest memory-op stream to a .ccsvmt\ntrace (single point "
+     "only; format in docs/TRACE_FORMAT.md)",
+     [](O &o, const Arg &a) { o.cfg.captureOut = a.text; }},
+    {K::Text, "--trace", "FILE",
+     "the .ccsvmt trace --workload replay re-issues",
+     [](O &o, const Arg &a) { o.params.replayTrace = a.text; }, 0, 0, wl},
+    {K::Switch, "--verbose", "", "keep simulator log output",
+     [](O &o, const Arg &) { o.verbose = true; }},
+    {K::Action, "--help", "", "this text",
+     [](O &, const Arg &a) { usage(a.text, stdout); }},
+};
+
+
+/** --help, rendered from the table: each row's help, then the values
+ * it accepts (a numeric range or the names). */
+void
+usage(const char *argv0, std::FILE *out)
+{
+    std::fprintf(out, "usage: %s [options]\n", argv0);
+    const std::string indent = "\n" + std::string(22, ' ');
+    for (const Flag &f : flagTable) {
+        if (f.kind == K::Section) {
+            std::fprintf(out, "\n%s\n", f.help);
+            continue;
+        }
+        const std::string metavar = f.metavar;
+        const std::string value =
+            metavar.substr(0, metavar.find_first_of("[,")) + " in ";
+        std::string text = f.help;
+        if (f.numeric()) {
+            text += "\n" + value + "[" + std::to_string(f.lo) + ", " +
+                    std::to_string(f.hi) + "]";
+        } else if (f.choices) {
+            text += "\n" + value + f.choices(" | ");
+        }
+        for (std::size_t at = 0;
+             (at = text.find('\n', at)) != std::string::npos;
+             at += indent.size())
+            text.replace(at, 1, indent);
+        const std::string head =
+            f.name + (metavar.empty() ? "" : " " + metavar);
+        std::fprintf(out, "  %-18s%s%s\n", head.c_str(),
+                     head.size() > 18 ? indent.c_str() : "  ",
+                     text.c_str());
+    }
 }
 
 DriverOptions
@@ -477,184 +638,14 @@ parseArgs(int argc, char **argv)
 {
     DriverOptions o;
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "ccsvm: %s needs an argument\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        // Record a workload-parameter flag for the ignored-flag
-        // warning (machine/output flags apply to every workload).
-        auto wlFlag = [&]() { o.setFlags.push_back(arg); };
-
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            std::exit(0);
-        } else if (arg == "--list-workloads") {
-            listWorkloads();
-            std::exit(0);
-        } else if (arg == "--workload") {
-            o.workloads = splitList("--workload", next());
-        } else if (arg == "--jobs") {
-            o.jobs = parseUnsigned("--jobs", next(), true);
-        } else if (arg == "--n") {
-            o.params.n = parseUnsigned("--n", next());
-            wlFlag();
-        } else if (arg == "--bodies") {
-            o.params.bh.bodies = parseUnsigned("--bodies", next());
-            wlFlag();
-        } else if (arg == "--steps") {
-            o.params.bh.steps =
-                parseUnsigned("--steps", next(), true);
-            wlFlag();
-        } else if (arg == "--density") {
-            o.params.spmm.density = parseDouble("--density", next());
-            wlFlag();
-        } else if (arg == "--seed") {
-            const unsigned s = parseUnsigned("--seed", next(), true);
-            o.params.bh.seed = s;
-            o.params.spmm.seed = s;
-            o.params.synth.seed = s;
-            o.params.matmulSeed = s;
-            wlFlag();
-        } else if (arg == "--iters") {
-            o.params.synth.iters = parseUnsigned("--iters", next());
-            wlFlag();
-        } else if (arg == "--synth-threads") {
-            o.params.synth.threads =
-                parseUnsigned("--synth-threads", next());
-            wlFlag();
-        } else if (arg == "--rpw") {
-            o.params.synth.readsPerWrite =
-                parseUnsigned("--rpw", next(), true);
-            wlFlag();
-        } else if (arg == "--footprint-kb") {
-            o.params.synth.footprintBytes =
-                Addr(parseUnsigned("--footprint-kb", next())) * 1024;
-            wlFlag();
-        } else if (arg == "--stride") {
-            o.params.synth.strideBytes =
-                parseUnsigned("--stride", next());
-            wlFlag();
-        } else if (arg == "--sharing") {
-            o.params.synth.sharingDegree =
-                parseUnsigned("--sharing", next());
-            wlFlag();
-        } else if (arg == "--region") {
-            o.cfg.regions.push_back(parseRegion(next()));
-        } else if (arg == "--region-hints") {
-            o.params.regionHints = true;
-            wlFlag();
-        } else if (arg == "--protocol") {
-            o.protocols.clear();
-            for (const auto &name :
-                 splitList("--protocol", next())) {
-                o.protocols.push_back(
-                    parseProtocol("--protocol", name.c_str()));
-            }
-        } else if (arg == "--cpu-protocol") {
-            o.cfg.cpuProtocol =
-                parseProtocol("--cpu-protocol", next());
-        } else if (arg == "--mttop-protocol") {
-            o.cfg.mttopProtocol =
-                parseProtocol("--mttop-protocol", next());
-        } else if (arg == "--list-protocols") {
-            for (const auto p : coherence::allProtocols)
-                std::printf("%s\n", coherence::protocolName(p));
-            std::exit(0);
-        } else if (arg == "--slice-hash") {
-            o.sliceHashes.clear();
-            for (const auto &name :
-                 splitList("--slice-hash", next())) {
-                o.sliceHashes.push_back(
-                    parseSliceHash("--slice-hash", name.c_str()));
-            }
-        } else if (arg == "--list-slice-hashes") {
-            for (const auto k : coherence::allSliceHashes)
-                std::printf("%s\n", coherence::sliceHashName(k));
-            std::exit(0);
-        } else if (arg == "--l2-replace") {
-            o.replacers.clear();
-            for (const auto &name :
-                 splitList("--l2-replace", next())) {
-                o.replacers.push_back(
-                    parseReplacer("--l2-replace", name.c_str()));
-            }
-        } else if (arg == "--list-replacers") {
-            for (const auto k : cache::allReplacers)
-                std::printf("%s\n", cache::replacerName(k));
-            std::exit(0);
-        } else if (arg == "--cpu-cores") {
-            o.cfg.numCpuCores =
-                static_cast<int>(parseUnsigned("--cpu-cores", next()));
-        } else if (arg == "--mttop-cores") {
-            o.cfg.numMttopCores = static_cast<int>(
-                parseUnsigned("--mttop-cores", next()));
-        } else if (arg == "--mttop-contexts") {
-            o.cfg.mttop.numContexts =
-                parseUnsigned("--mttop-contexts", next());
-        } else if (arg == "--l2-banks") {
-            o.cfg.numL2Banks =
-                static_cast<int>(parseUnsigned("--l2-banks", next()));
-        } else if (arg == "--cpu-l1-kb") {
-            o.cfg.cpuL1.sizeBytes =
-                Addr(parseUnsigned("--cpu-l1-kb", next())) * 1024;
-        } else if (arg == "--mttop-l1-kb") {
-            o.cfg.mttopL1.sizeBytes =
-                Addr(parseUnsigned("--mttop-l1-kb", next())) * 1024;
-        } else if (arg == "--l2-bank-kb") {
-            o.cfg.l2.bankSizeBytes =
-                Addr(parseUnsigned("--l2-bank-kb", next())) * 1024;
-        } else if (arg == "--dram-ns") {
-            o.cfg.dram.accessLatency =
-                Tick(parseUnsigned("--dram-ns", next(), true)) *
-                tickNs;
-        } else if (arg == "--no-swmr") {
-            o.cfg.swmrChecks = false;
-        } else if (arg == "--json") {
-            o.jsonPath = next();
-        } else if (arg == "--trace-out") {
-            o.traceOut = next();
-        } else if (arg == "--capture-out") {
-            o.cfg.captureOut = next();
-        } else if (arg == "--trace") {
-            o.params.replayTrace = next();
-            wlFlag();
-        } else if (arg == "--trace-categories") {
-            o.traceCategories = next();
-            unsigned mask = 0;
-            if (!sim::Tracer::parseCategories(o.traceCategories,
-                                              mask)) {
-                std::fprintf(
-                    stderr,
-                    "ccsvm: --trace-categories wants a comma list "
-                    "of coh, noc, vm, kernel or all, got "
-                    "'%s'\n",
-                    o.traceCategories.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--sample-interval") {
-            // Ticks are picoseconds; intervals routinely exceed the
-            // 32-bit range parseUnsigned would clip to.
-            const char *v = next();
-            char *end = nullptr;
-            o.cfg.sampleInterval = std::strtoull(v, &end, 10);
-            if (!std::isdigit(static_cast<unsigned char>(v[0])) ||
-                *end) {
-                std::fprintf(stderr,
-                             "ccsvm: --sample-interval needs a tick "
-                             "count, got '%s'\n", v);
-                std::exit(2);
-            }
-        } else if (arg == "--stats") {
-            o.textStats = true;
-        } else if (arg == "--verbose") {
-            o.verbose = true;
-        } else {
+        const std::string arg =
+            std::strcmp(argv[i], "-h") ? argv[i] : "--help";
+        const Flag *f = std::find_if(
+            std::begin(flagTable), std::end(flagTable),
+            [&](const Flag &r) {
+                return r.kind != K::Section && r.name == arg;
+            });
+        if (f == std::end(flagTable)) {
             std::fprintf(stderr,
                          "ccsvm: unknown option '%s' (run %s --help "
                          "for the full flag list)\n",
@@ -662,10 +653,27 @@ parseArgs(int argc, char **argv)
             usage(argv[0], stderr);
             std::exit(2);
         }
+        Arg a{*f, argv[0]};
+        if (f->kind == K::Action) {
+            f->set(o, a);
+            std::exit(0);
+        }
+        if (f->kind != K::Switch) {
+            if (++i >= argc)
+                reject("%s needs an argument", f->name);
+            a.text = argv[i];
+        }
+        if (f->numeric())
+            parseNumber(*f, a);
+        f->set(o, a);
+        if (f->workloadParam)
+            o.setFlags.push_back(arg);
     }
-    // Tracing is only armed when there is somewhere to write it;
-    // --trace-categories alone is almost certainly a mistake, so
-    // warn rather than pay the tracing cost silently.
+
+    // Checks that span flags. Tracing is only armed when there is
+    // somewhere to write it; --trace-categories alone is almost
+    // certainly a mistake, so warn rather than pay the tracing cost
+    // silently.
     if (!o.traceOut.empty()) {
         o.cfg.traceCategories =
             o.traceCategories.empty() ? "all" : o.traceCategories;
@@ -674,38 +682,28 @@ parseArgs(int argc, char **argv)
                      "ccsvm: warning: --trace-categories without "
                      "--trace-out; tracing stays off\n");
     }
-    // Overlapping --region declarations are a user error: fail fast
-    // with a CLI diagnostic instead of tripping the simulator's
-    // region-table assert mid-construction.
+    // Overlapping regions, cache geometry the arrays cannot index and
+    // more L1s than the sharer mask would trip the simulator's
+    // asserts mid-construction.
     for (std::size_t i = 0; i < o.cfg.regions.size(); ++i) {
         for (std::size_t j = i + 1; j < o.cfg.regions.size(); ++j) {
             const vm::MemRegion &x = o.cfg.regions[i];
             const vm::MemRegion &y = o.cfg.regions[j];
             if (x.base < y.base + y.size && y.base < x.base + x.size) {
-                std::fprintf(stderr,
-                             "ccsvm: --region '%s' overlaps --region "
-                             "'%s'\n",
-                             y.name.c_str(), x.name.c_str());
-                std::exit(2);
+                reject("--region '%s' overlaps --region '%s'",
+                       y.name.c_str(), x.name.c_str());
             }
         }
     }
-    // Cache geometry flags must yield a power-of-two set count per
-    // array; fail fast with a CLI diagnostic naming the flag instead
-    // of tripping the cache array's internal assert mid-construction.
     const auto check_sets = [](const char *flag, Addr size_bytes,
                                unsigned assoc) {
         const Addr sets = size_bytes / mem::blockBytes / assoc;
-        if (sets == 0 || (sets & (sets - 1)) != 0) {
-            std::fprintf(
-                stderr,
-                "ccsvm: %s gives %llu sets (%llu bytes / %u-byte "
-                "lines / %u ways); the set count must be a "
-                "power of two >= 1\n",
-                flag, (unsigned long long)sets,
-                (unsigned long long)size_bytes,
-                unsigned(mem::blockBytes), assoc);
-            std::exit(2);
+        if (!isPowerOf2(sets)) {
+            reject("%s gives %llu sets (%llu bytes / %u-byte lines / %u "
+                   "ways); the set count must be a power of two >= 1",
+                   flag, (unsigned long long)sets,
+                   (unsigned long long)size_bytes,
+                   unsigned(mem::blockBytes), assoc);
         }
     };
     check_sets("--l2-bank-kb", o.cfg.l2.bankSizeBytes, o.cfg.l2.assoc);
@@ -713,20 +711,10 @@ parseArgs(int argc, char **argv)
     check_sets("--mttop-l1-kb", o.cfg.mttopL1.sizeBytes,
                o.cfg.mttopL1.assoc);
     if (o.cfg.numCpuCores + o.cfg.numMttopCores > coherence::maxL1s) {
-        std::fprintf(stderr,
-                     "ccsvm: --cpu-cores %d + --mttop-cores %d gives "
-                     "%d L1 caches; the directory tracks at most %d\n",
-                     o.cfg.numCpuCores, o.cfg.numMttopCores,
-                     o.cfg.numCpuCores + o.cfg.numMttopCores,
-                     coherence::maxL1s);
-        std::exit(2);
-    }
-    if (o.cfg.numL2Banks < 1) {
-        std::fprintf(stderr,
-                     "ccsvm: --l2-banks %d: the home-slice hash "
-                     "needs at least one bank\n",
-                     o.cfg.numL2Banks);
-        std::exit(2);
+        reject("--cpu-cores %d + --mttop-cores %d gives %d L1 caches; "
+               "the directory tracks at most %d",
+               o.cfg.numCpuCores, o.cfg.numMttopCores,
+               o.cfg.numCpuCores + o.cfg.numMttopCores, coherence::maxL1s);
     }
     return o;
 }
@@ -745,11 +733,8 @@ selectWorkloads(const DriverOptions &o)
     for (const auto &name : o.workloads) {
         const workloads::WorkloadEntry *e = reg.find(name);
         if (!e) {
-            std::fprintf(stderr,
-                         "ccsvm: unknown workload '%s' (want one of: "
-                         "%s)\n",
-                         name.c_str(), reg.nameList().c_str());
-            std::exit(2);
+            reject("unknown workload '%s' for --workload (want one of: "
+                   "%s)", name.c_str(), reg.nameList().c_str());
         }
         workloads::WorkloadRegistry::warnIgnoredFlags(
             *e, o.setFlags, [](const std::string &msg) {
@@ -865,7 +850,7 @@ renderPointJson(std::ostream &os, const DriverOptions &o,
  */
 PointOutput
 runPoint(const DriverOptions &o, const PointSpec &spec)
-{
+try {
     system::CcsvmMachine m(spec.cfg);
     const workloads::RunResult r = spec.entry->run(m, o.params);
 
@@ -916,6 +901,11 @@ runPoint(const DriverOptions &o, const PointSpec &spec)
         out.trace = ss.str();
     }
     return out;
+} catch (const std::exception &e) {
+    // A config the machine rejects or a guest heap the run exhausts:
+    // name the point, so a sweep's rethrow says which one failed.
+    throw std::runtime_error("workload " + spec.workload + ": " +
+                             e.what());
 }
 
 } // namespace
@@ -1011,15 +1001,20 @@ main(int argc, char **argv)
     // runner returns results in point order whatever --jobs is, so
     // every byte below is independent of worker count.
     std::vector<PointOutput> results;
-    if (points.size() == 1) {
-        results.push_back(runPoint(o, points[0]));
-    } else {
-        std::vector<std::function<PointOutput()>> tasks;
-        for (const PointSpec &spec : points)
-            tasks.emplace_back(
-                [&o, &spec]() { return runPoint(o, spec); });
-        const sim::SweepRunner runner(o.jobs);
-        results = runner.map<PointOutput>(tasks);
+    try {
+        if (points.size() == 1) {
+            results.push_back(runPoint(o, points[0]));
+        } else {
+            std::vector<std::function<PointOutput()>> tasks;
+            for (const PointSpec &spec : points)
+                tasks.emplace_back(
+                    [&o, &spec]() { return runPoint(o, spec); });
+            const sim::SweepRunner runner(o.jobs);
+            results = runner.map<PointOutput>(tasks);
+        }
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "ccsvm: %s\n", e.what());
+        return 2;
     }
 
     // --json - reserves stdout for the JSON document: the human-facing
