@@ -124,7 +124,8 @@ main()
             system::CcsvmConfig cfg;
             cfg.cpu.tlbEntries = entries;
             cfg.mttop.tlbEntries = entries;
-            return workloads::matmulXthreads(64, cfg);
+            system::CcsvmMachine m(cfg);
+            return workloads::matmulXthreads(m, 64);
         }));
     }
     for (const unsigned remaps : remap_counts)

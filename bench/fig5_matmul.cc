@@ -27,7 +27,10 @@ main()
     }
     const auto out = runSweep(sizeSweepJobs(
         {[](unsigned n) { return workloads::matmulCpuSingle(n); },
-         [](unsigned n) { return workloads::matmulXthreads(n); },
+         [](unsigned n) {
+             system::CcsvmMachine m;
+             return workloads::matmulXthreads(m, n);
+         },
          [](unsigned n) { return workloads::matmulOpenCl(n); }},
         sizes));
 

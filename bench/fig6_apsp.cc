@@ -26,7 +26,10 @@ main()
     }
     const auto out = runSweep(sizeSweepJobs(
         {[](unsigned n) { return workloads::apspCpuSingle(n); },
-         [](unsigned n) { return workloads::apspXthreads(n); },
+         [](unsigned n) {
+             system::CcsvmMachine m;
+             return workloads::apspXthreads(m, n);
+         },
          [](unsigned n) { return workloads::apspOpenCl(n); }},
         sizes));
 

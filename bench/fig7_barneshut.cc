@@ -38,7 +38,10 @@ main()
     }
     const auto out = runSweep(sizeSweepJobs(
         {[](unsigned b) { return workloads::barnesHutCpuSingle(params(b)); },
-         [](unsigned b) { return workloads::barnesHutXthreads(params(b)); },
+         [](unsigned b) {
+             system::CcsvmMachine m;
+             return workloads::barnesHutXthreads(m, params(b));
+         },
          [](unsigned b) {
              return workloads::barnesHutPthreads(params(b));
          }},

@@ -41,7 +41,10 @@ void
 addPair(std::vector<Job> &jobs, const workloads::SpmmParams &p)
 {
     jobs.push_back(workloadJob([p] { return workloads::spmmCpuSingle(p); }));
-    jobs.push_back(workloadJob([p] { return workloads::spmmXthreads(p); }));
+    jobs.push_back(workloadJob([p] {
+        system::CcsvmMachine m;
+        return workloads::spmmXthreads(m, p);
+    }));
 }
 
 } // namespace

@@ -23,7 +23,10 @@ main()
         sizes.push_back(128);
     const auto out = runSweep(sizeSweepJobs(
         {[](unsigned n) { return workloads::matmulCpuSingle(n); },
-         [](unsigned n) { return workloads::matmulXthreads(n); },
+         [](unsigned n) {
+             system::CcsvmMachine m;
+             return workloads::matmulXthreads(m, n);
+         },
          [](unsigned n) { return workloads::matmulOpenCl(n); }},
         sizes));
 

@@ -1,10 +1,13 @@
 # Test script: the event-order golden gate.
 #
 # Runs small versions of the three benchmark workloads (barneshut,
-# synth:stream, synth:false) through the driver and compares each
-# run's simulated ticks, executed event count and the SHA-256 of its
-# "stats" JSON section against a committed golden file. Any change to
-# event order, event count or a single statistic shows up here.
+# synth:stream, synth:false) through the driver, plus three rows that
+# cover the cores' translate-and-issue path (MTTOP page faults relayed
+# through the MIFD, MESI-override regions, bypass regions), and
+# compares each run's simulated ticks, executed event count and the
+# SHA-256 of its "stats" JSON section against a committed golden file.
+# Any change to event order, event count or a single statistic shows
+# up here.
 #
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              [-DCCSVM_GOLDEN=<file>] [-DUPDATE=ON]
@@ -25,13 +28,21 @@ endif()
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
 # name | driver flags (a ;-list)
-set(names fig7_barneshut stream_dram false_share)
+set(names fig7_barneshut stream_dram false_share spmm_faults
+    matmul_regions stream_bypass)
 set(flags_fig7_barneshut --workload barneshut --bodies 64 --steps 2
     --seed 1)
 set(flags_stream_dram --workload synth:stream --synth-threads 16
     --footprint-kb 1024 --iters 1)
 set(flags_false_share --workload synth:false --synth-threads 128
     --sharing 8 --iters 64)
+# 16 MTTOP page faults relayed to the kernel through the MIFD.
+set(flags_spmm_faults --workload spmm --n 32)
+# matmul's A/B hinted read-mostly: MESI-override regions.
+set(flags_matmul_regions --workload matmul --n 16 --region-hints)
+# synth:stream's buffer hinted bypass: uncached ops at the L1.
+set(flags_stream_bypass --workload synth:stream --synth-threads 16
+    --footprint-kb 256 --iters 1 --region-hints)
 
 # One line per workload: "<name> ticks=<n> events=<n> stats_sha256=<h>".
 set(lines "")

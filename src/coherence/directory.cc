@@ -20,12 +20,8 @@ Directory::Directory(sim::EventQueue &eq, sim::StatRegistry &stats,
                      noc::NodeId my_node, mem::DramCtrl &dram,
                      mem::PhysMem &phys)
     : eq_(&eq), cfg_(cfg),
-      cpuPolicy_(&protocolPolicy(cfg.firstMttopL1 >= 0
-                                     ? cfg.cpuProtocol
-                                     : cfg.protocol)),
-      mttopPolicy_(&protocolPolicy(cfg.firstMttopL1 >= 0
-                                       ? cfg.mttopProtocol
-                                       : cfg.protocol)),
+      cpuPolicy_(&protocolPolicy(cfg.cpuProtocol)),
+      mttopPolicy_(&protocolPolicy(cfg.mttopProtocol)),
       bankId_(bank_id), numBanks_(num_banks),
       net_(&net), node_(my_node), dram_(&dram), phys_(&phys),
       array_(cfg.bankSizeBytes, cfg.assoc, cfg.replace,
@@ -195,7 +191,7 @@ Directory::isSharer(const L2Line &line, L1Id id) const
 bool
 Directory::isMttopL1(L1Id id) const
 {
-    return cfg_.firstMttopL1 >= 0 && id >= cfg_.firstMttopL1;
+    return id >= cfg_.firstMttopL1;
 }
 
 const ProtocolPolicy &

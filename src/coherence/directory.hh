@@ -27,6 +27,7 @@
 #define CCSVM_COHERENCE_DIRECTORY_HH
 
 #include <deque>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -54,21 +55,19 @@ struct DirConfig
     Tick l2DataLatency = 3450;  ///< ~10 CPU cycles / 2 MTTOP cycles
     Tick ctrlLatency = 1000;    ///< directory state access
 
-    /** Coherence protocol for every L1 when no cluster split is
-     * configured (firstMttopL1 < 0); must match the L1 controllers'. */
-    Protocol protocol = Protocol::MOESI;
-
     /**
-     * Per-cluster heterogeneous protocols. When firstMttopL1 >= 0,
-     * L1 ids below the boundary belong to the CPU cluster and run
+     * Per-cluster protocols; each must match its L1 controllers'. L1
+     * ids below firstMttopL1 belong to the CPU cluster and run
      * cpuProtocol, ids at or above it are MTTOP L1s running
-     * mttopProtocol; `protocol` is ignored. The directory mediates
-     * mixed pairs: sole-copy fills follow the requestor's policy and
-     * dirty sharing requires the O state at both ends.
+     * mttopProtocol. The default boundary means "no MTTOP L1s", so a
+     * single-cluster machine (the APU) runs cpuProtocol throughout.
+     * The directory mediates mixed pairs: sole-copy fills follow the
+     * requestor's policy and dirty sharing requires the O state at
+     * both ends.
      */
     Protocol cpuProtocol = Protocol::MOESI;
     Protocol mttopProtocol = Protocol::MOESI;
-    int firstMttopL1 = -1;
+    int firstMttopL1 = std::numeric_limits<int>::max();
 
     /**
      * Directory-at-memory mode (the APU baseline's CPU cluster): the

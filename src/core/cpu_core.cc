@@ -8,21 +8,24 @@ CpuCore::CpuCore(sim::EventQueue &eq, sim::StatRegistry &stats,
                  coherence::L1Controller &l1, vm::Walker &walker,
                  vm::Kernel &kernel, noc::Network &net,
                  noc::NodeId my_node)
-    : eq_(&eq), cfg_(cfg), clock_(eq, cfg.clockPeriod), l1_(&l1),
-      walker_(&walker), kernel_(&kernel),
-      tlb_(stats, name + ".tlb", cfg.tlbEntries), net_(&net),
-      node_(my_node),
+    : eq_(&eq), cfg_(cfg), clock_(eq, cfg.clockPeriod),
+      mem_(eq, stats, name, cfg.tlbEntries, l1, walker,
+           "page faults taken",
+           [&kernel](runtime::Process &proc, vm::VAddr va,
+                     std::function<void()> retry) {
+               kernel.handlePageFault(proc.addressSpace(), va,
+                                      std::move(retry));
+           }),
+      net_(&net), node_(my_node),
       instructions_(stats.counter(name + ".instructions",
                                   "guest instructions retired")),
       memOps_(stats.counter(name + ".memOps",
                             "loads/stores/atomics issued")),
       syscalls_(stats.counter(name + ".syscalls",
                               "MIFD write syscalls")),
-      faults_(stats.counter(name + ".pageFaults",
-                            "page faults taken")),
       trc_(stats.tracer()), lane_(stats.tracer().lane(name))
 {
-    kernel.registerCpuTlb(&tlb_);
+    kernel.registerCpuTlb(&mem_.tlb());
 }
 
 void
@@ -84,7 +87,7 @@ CpuCore::issue(ThreadContext &tc)
       case OpKind::Amo:
         ++instructions_;
         ++memOps_;
-        translateAndAccess(tc);
+        mem_.translateAndAccess(tc);
         return;
       case OpKind::MifdWrite:
         ++instructions_;
@@ -116,138 +119,6 @@ CpuCore::pollHostWait(ThreadContext &tc)
     }
     eq_->scheduleIn(cfg_.hostWaitPollPeriod,
                     [this, &tc] { pollHostWait(tc); }, sim::prioCpu);
-}
-
-void
-CpuCore::translateAndAccess(ThreadContext &tc)
-{
-    GuestOp &op = tc.pendingOp();
-    vm::TlbEntry te;
-    if (tlb_.lookup(op.va, te)) {
-        accessMemory(tc, te.frame | (op.va & mem::pageOffsetMask), te);
-        return;
-    }
-    // Hardware page walk; on a true fault, trap to the kernel and
-    // retry the translation afterwards.
-    runtime::Process &proc = *tc.process();
-    walker_->walk(proc.addressSpace().pageTable(), op.va,
-                  [this, &tc, &proc](vm::WalkResult r) {
-                      GuestOp &o = tc.pendingOp();
-                      if (r.present) {
-                          vm::TlbEntry te{r.frame, r.writable};
-                          if (const vm::MemRegion *mr =
-                                  proc.addressSpace().regionFor(o.va)) {
-                              te.attr = mr->attr;
-                              te.prot = mr->protocol;
-                          }
-                          tlb_.insert(o.va, te.frame, te.writable,
-                                      te.attr, te.prot);
-                          accessMemory(
-                              tc,
-                              te.frame | (o.va & mem::pageOffsetMask),
-                              te);
-                          return;
-                      }
-                      ++faults_;
-                      kernel_->handlePageFault(
-                          proc.addressSpace(), o.va,
-                          [this, &tc] { translateAndAccess(tc); });
-                  });
-}
-
-void
-CpuCore::accessUncached(ThreadContext &tc, Addr paddr)
-{
-    // Pinned zero-copy region: bypass the cache hierarchy entirely.
-    // Writes are posted through a one-block write-combining buffer;
-    // reads buffer one block. Every block transition is an off-chip
-    // transaction — this is the APU's CPU<->GPU communication path.
-    GuestOp &op = tc.pendingOp();
-    const Addr block = mem::blockAlign(paddr);
-    const unsigned off =
-        static_cast<unsigned>(paddr & mem::blockOffsetMask);
-
-    if (op.kind == OpKind::Store) {
-        uncached_.phys->writeScalar(paddr, op.wdata, op.size);
-        if (block != wcBlock_) {
-            wcBlock_ = block;
-            uncached_.dram->access(true, mem::blockBytes, [] {});
-        }
-        eq_->scheduleIn(uncached_.writePostLatency,
-                        [&tc] { tc.completeOp(0); }, sim::prioCpu);
-        return;
-    }
-    if (op.kind == OpKind::Load) {
-        const Tick lat = (block == rdBlock_)
-                             ? uncached_.readHitLatency
-                             : Tick(0);
-        if (block != rdBlock_) {
-            rdBlock_ = block;
-            const Addr pa = paddr;
-            const unsigned size = op.size;
-            uncached_.dram->access(
-                false, mem::blockBytes, [this, &tc, pa, size] {
-                    tc.completeOp(
-                        uncached_.phys->readScalar(pa, size));
-                });
-            return;
-        }
-        eq_->scheduleIn(lat, [this, &tc, paddr, off] {
-            (void)off;
-            GuestOp &o = tc.pendingOp();
-            tc.completeOp(uncached_.phys->readScalar(paddr, o.size));
-        }, sim::prioCpu);
-        return;
-    }
-    // Atomics to uncached space: read-modify-write at memory.
-    const Addr pa = paddr;
-    uncached_.dram->access(false, mem::blockBytes, [this, &tc, pa] {
-        GuestOp &o = tc.pendingOp();
-        const std::uint64_t old_val =
-            uncached_.phys->readScalar(pa, o.size);
-        const std::uint64_t new_val = coherence::amoApply(
-            o.amoOp, old_val, o.operand, o.operand2);
-        uncached_.phys->writeScalar(pa, new_val, o.size);
-        uncached_.dram->access(true, mem::blockBytes,
-                               [&tc, old_val] {
-                                   tc.completeOp(old_val);
-                               });
-    });
-}
-
-void
-CpuCore::accessMemory(ThreadContext &tc, Addr paddr,
-                      const vm::TlbEntry &te)
-{
-    if (uncached_.contains(paddr)) {
-        accessUncached(tc, paddr);
-        return;
-    }
-    GuestOp &op = tc.pendingOp();
-    auto req = std::make_unique<coherence::MemRequest>();
-    req->paddr = paddr;
-    req->size = op.size;
-    req->region = te.attr;
-    req->regionProt = te.prot;
-    switch (op.kind) {
-      case OpKind::Load:
-        req->kind = coherence::MemRequest::Kind::Read;
-        break;
-      case OpKind::Store:
-        req->kind = coherence::MemRequest::Kind::Write;
-        req->wdata = op.wdata;
-        break;
-      case OpKind::Amo:
-        req->kind = coherence::MemRequest::Kind::Amo;
-        req->amoOp = op.amoOp;
-        req->operand = op.operand;
-        req->operand2 = op.operand2;
-        break;
-      default:
-        ccsvm_panic("non-memory op in accessMemory");
-    }
-    req->onDone = [&tc](std::uint64_t v) { tc.completeOp(v); };
-    l1_->access(std::move(req));
 }
 
 void

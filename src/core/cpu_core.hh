@@ -18,14 +18,10 @@
 #include <string>
 
 #include "base/types.hh"
-#include "coherence/l1_cache.hh"
-#include "core/thread_context.hh"
+#include "core/mem_path.hh"
 #include "noc/network.hh"
 #include "runtime/process.hh"
 #include "sim/clock.hh"
-#include "sim/stats.hh"
-#include "vm/tlb.hh"
-#include "vm/walker.hh"
 
 namespace ccsvm::core
 {
@@ -40,28 +36,6 @@ struct CpuCoreConfig
     Tick syscallLatency = 690 * tickNs; ///< write-syscall kernel path
     Tick hostWaitPollPeriod = 1 * tickUs; ///< HostWait poll interval
     unsigned tlbEntries = 64;
-};
-
-/**
- * An uncacheable physical window (the APU's pinned zero-copy region):
- * accesses bypass the cache hierarchy and go straight to DRAM with
- * 64-byte write-combining / read-buffering, as on Llano's
- * high-bandwidth uncacheable path (paper Sec. 2.3).
- */
-struct UncachedWindow
-{
-    Addr base = 0;
-    Addr size = 0; ///< zero disables the window
-    mem::PhysMem *phys = nullptr;
-    mem::DramCtrl *dram = nullptr;
-    Tick writePostLatency = 8 * tickNs; ///< posted WC store
-    Tick readHitLatency = 5 * tickNs;   ///< same-block buffered read
-
-    bool
-    contains(Addr pa) const
-    {
-        return size != 0 && pa >= base && pa < base + size;
-    }
 };
 
 /** Wiring record for the MIFD device. */
@@ -84,9 +58,7 @@ class CpuCore : public CoreModel
     void connectMifd(MifdPort port) { mifd_ = port; }
 
     /** Enable the uncacheable pinned window (APU machines). */
-    void setUncachedWindow(UncachedWindow w) { uncached_ = w; }
-
-    vm::Tlb &tlb() { return tlb_; }
+    void setUncachedWindow(UncachedWindow w) { mem_.setUncachedWindow(w); }
 
     /**
      * Start a guest thread on this core. One thread runs at a time
@@ -104,20 +76,13 @@ class CpuCore : public CoreModel
 
   private:
     void issue(ThreadContext &tc);
-    void translateAndAccess(ThreadContext &tc);
-    void accessMemory(ThreadContext &tc, Addr paddr,
-                      const vm::TlbEntry &te);
-    void accessUncached(ThreadContext &tc, Addr paddr);
     void doSyscall(ThreadContext &tc);
     void pollHostWait(ThreadContext &tc);
 
     sim::EventQueue *eq_;
     CpuCoreConfig cfg_;
     sim::ClockDomain clock_;
-    coherence::L1Controller *l1_;
-    vm::Walker *walker_;
-    vm::Kernel *kernel_;
-    vm::Tlb tlb_;
+    MemPath mem_;
     noc::Network *net_;
     noc::NodeId node_;
     MifdPort mifd_;
@@ -125,14 +90,10 @@ class CpuCore : public CoreModel
     bool running_ = false;
     std::function<void()> onDone_;
     Tick nextIssue_ = 0;
-    UncachedWindow uncached_;
-    Addr wcBlock_ = invalidAddr; ///< write-combining buffer tag
-    Addr rdBlock_ = invalidAddr; ///< uncached read-buffer tag
 
     sim::Counter &instructions_;
     sim::Counter &memOps_;
     sim::Counter &syscalls_;
-    sim::Counter &faults_;
 
     sim::Tracer &trc_;
     int lane_;

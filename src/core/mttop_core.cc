@@ -8,8 +8,16 @@ MttopCore::MttopCore(sim::EventQueue &eq, sim::StatRegistry &stats,
                      const MttopCoreConfig &cfg,
                      coherence::L1Controller &l1, vm::Walker &walker,
                      vm::Kernel &kernel)
-    : eq_(&eq), cfg_(cfg), clock_(eq, cfg.clockPeriod), l1_(&l1),
-      walker_(&walker), tlb_(stats, name + ".tlb", cfg.tlbEntries),
+    : eq_(&eq), cfg_(cfg), clock_(eq, cfg.clockPeriod),
+      // MTTOP cores do not run the OS: a page fault goes to a CPU
+      // core through the MIFD (paper Sec. 3.2.1).
+      mem_(eq, stats, name, cfg.tlbEntries, l1, walker,
+           "page faults relayed via MIFD",
+           [this](runtime::Process &proc, vm::VAddr va,
+                  std::function<void()> retry) {
+               ccsvm_assert(mifd_, "MTTOP page fault without a MIFD");
+               mifd_->relayPageFault(proc, va, std::move(retry));
+           }),
       freeSlots_(cfg.numContexts),
       instructions_(stats.counter(name + ".instructions",
                                   "guest instructions retired")),
@@ -17,15 +25,13 @@ MttopCore::MttopCore(sim::EventQueue &eq, sim::StatRegistry &stats,
                             "loads/stores/atomics issued")),
       threadsRun_(stats.counter(name + ".threads",
                                 "MTTOP threads executed")),
-      faults_(stats.counter(name + ".pageFaults",
-                            "page faults relayed via MIFD")),
       cr3Switches_(stats.counter(name + ".cr3Switches",
                                  "address-space switches (TLB flush)"))
 {
     slots_.reserve(cfg.numContexts);
     for (unsigned i = 0; i < cfg.numContexts; ++i)
         slots_.push_back(std::make_unique<Slot>());
-    kernel.registerMttopTlb(&tlb_);
+    kernel.registerMttopTlb(&mem_.tlb());
 }
 
 void
@@ -41,7 +47,7 @@ MttopCore::assignChunk(std::shared_ptr<TaskDescriptor> desc,
     if (currentProcess_ != desc->process) {
         if (currentProcess_ != nullptr) {
             ++cr3Switches_;
-            tlb_.flushAll();
+            mem_.tlb().flushAll();
         }
         currentProcess_ = desc->process;
     }
@@ -146,7 +152,7 @@ MttopCore::processOp(ThreadContext &tc)
       case OpKind::Amo:
         ++instructions_;
         ++memOps_;
-        translateAndAccess(tc);
+        mem_.translateAndAccess(tc);
         return;
       case OpKind::Stall:
         eq_->scheduleIn(op.stallTicks, [&tc] { tc.completeOp(0); });
@@ -159,73 +165,6 @@ MttopCore::processOp(ThreadContext &tc)
                     tc.tid());
     }
     ccsvm_panic("unknown op kind");
-}
-
-void
-MttopCore::translateAndAccess(ThreadContext &tc)
-{
-    GuestOp &op = tc.pendingOp();
-    vm::TlbEntry te;
-    if (tlb_.lookup(op.va, te)) {
-        accessMemory(tc, te.frame | (op.va & mem::pageOffsetMask), te);
-        return;
-    }
-    runtime::Process &proc = *tc.process();
-    walker_->walk(
-        proc.addressSpace().pageTable(), op.va,
-        [this, &tc, &proc](vm::WalkResult r) {
-            GuestOp &o = tc.pendingOp();
-            if (r.present) {
-                vm::TlbEntry te{r.frame, r.writable};
-                if (const vm::MemRegion *mr =
-                        proc.addressSpace().regionFor(o.va)) {
-                    te.attr = mr->attr;
-                    te.prot = mr->protocol;
-                }
-                tlb_.insert(o.va, te.frame, te.writable, te.attr,
-                            te.prot);
-                accessMemory(
-                    tc, te.frame | (o.va & mem::pageOffsetMask), te);
-                return;
-            }
-            // MTTOP cores do not run the OS: raise the fault to a CPU
-            // core through the MIFD (paper Sec. 3.2.1).
-            ++faults_;
-            ccsvm_assert(mifd_, "MTTOP page fault without a MIFD");
-            mifd_->relayPageFault(
-                proc, o.va, [this, &tc] { translateAndAccess(tc); });
-        });
-}
-
-void
-MttopCore::accessMemory(ThreadContext &tc, Addr paddr,
-                        const vm::TlbEntry &te)
-{
-    GuestOp &op = tc.pendingOp();
-    auto req = std::make_unique<coherence::MemRequest>();
-    req->paddr = paddr;
-    req->size = op.size;
-    req->region = te.attr;
-    req->regionProt = te.prot;
-    switch (op.kind) {
-      case OpKind::Load:
-        req->kind = coherence::MemRequest::Kind::Read;
-        break;
-      case OpKind::Store:
-        req->kind = coherence::MemRequest::Kind::Write;
-        req->wdata = op.wdata;
-        break;
-      case OpKind::Amo:
-        req->kind = coherence::MemRequest::Kind::Amo;
-        req->amoOp = op.amoOp;
-        req->operand = op.operand;
-        req->operand2 = op.operand2;
-        break;
-      default:
-        ccsvm_panic("non-memory op in accessMemory");
-    }
-    req->onDone = [&tc](std::uint64_t v) { tc.completeOp(v); };
-    l1_->access(std::move(req));
 }
 
 } // namespace ccsvm::core

@@ -24,13 +24,9 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "coherence/l1_cache.hh"
-#include "core/thread_context.hh"
+#include "core/mem_path.hh"
 #include "runtime/process.hh"
 #include "sim/clock.hh"
-#include "sim/stats.hh"
-#include "vm/tlb.hh"
-#include "vm/walker.hh"
 
 namespace ccsvm::core
 {
@@ -102,17 +98,12 @@ class MttopCore : public CoreModel
     void scheduleCycle();
     void cycle();
     void processOp(ThreadContext &tc);
-    void translateAndAccess(ThreadContext &tc);
-    void accessMemory(ThreadContext &tc, Addr paddr,
-                      const vm::TlbEntry &te);
 
     sim::EventQueue *eq_;
     MttopCoreConfig cfg_;
     sim::ClockDomain clock_;
-    coherence::L1Controller *l1_;
-    vm::Walker *walker_;
-    vm::Tlb tlb_;
     MifdIface *mifd_ = nullptr;
+    MemPath mem_;
     unsigned mifdPort_ = 0;
     CaptureHook captureHook_;
 
@@ -125,7 +116,6 @@ class MttopCore : public CoreModel
     sim::Counter &instructions_;
     sim::Counter &memOps_;
     sim::Counter &threadsRun_;
-    sim::Counter &faults_;
     sim::Counter &cr3Switches_;
 };
 

@@ -42,8 +42,6 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
     cfg_.mttopProtocol = mttop_p;
     cfg_.cpuL1.protocol = cpu_p;
     cfg_.mttopL1.protocol = mttop_p;
-    // DirConfig::protocol is ignored once the cluster split below is
-    // configured; only the per-cluster pair matters.
     cfg_.l2.cpuProtocol = cpu_p;
     cfg_.l2.mttopProtocol = mttop_p;
     cfg_.l2.firstMttopL1 = cfg_.numCpuCores;

@@ -1,9 +1,12 @@
 /**
  * @file
  * Translation lookaside buffer: 64-entry, fully associative, true LRU
- * (Table 2, for both CPU and MTTOP cores). The LRU is constant-time:
- * an intrusive recency list spliced on every hit, with a map from VPN
- * to list node — the translation hot path never scans the whole TLB.
+ * (Table 2, for both CPU and MTTOP cores). The entries live in one
+ * flat array of at most `entries` slots; every hit or insert stamps its
+ * slot from a strictly increasing clock, so the oldest stamp is exactly
+ * the true-LRU victim. At 64 entries a scan of the array costs about
+ * what a hash lookup does, with no per-entry allocation and no second
+ * structure to keep in step.
  *
  * Each entry carries the page's region attribute alongside the
  * translation (region-based coherence: the core stamps every memory
@@ -18,9 +21,9 @@
 #ifndef CCSVM_VM_TLB_HH
 #define CCSVM_VM_TLB_HH
 
-#include <list>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "base/types.hh"
 #include "coherence/types.hh"
@@ -51,7 +54,9 @@ class Tlb
           misses_(stats.counter(name + ".misses", "TLB misses")),
           flushes_(stats.counter(name + ".flushes",
                                  "whole-TLB flushes"))
-    {}
+    {
+        slots_.reserve(entries);
+    }
 
     /**
      * Look up the translation for @p va.
@@ -60,62 +65,44 @@ class Tlb
     bool
     lookup(VAddr va, TlbEntry &out)
     {
-        const VAddr vpn = va >> mem::pageShift;
-        auto it = map_.find(vpn);
-        if (it == map_.end()) {
+        Slot *s = find(va >> mem::pageShift);
+        if (!s) {
             ++misses_;
             return false;
         }
         ++hits_;
-        // Constant-time recency update: move the node to MRU.
-        lru_.splice(lru_.begin(), lru_, it->second);
-        out = it->second->entry;
-        return true;
-    }
-
-    /** Legacy 3-out-param lookup (tests and attr-oblivious callers). */
-    bool
-    lookup(VAddr va, Addr &frame, bool &writable)
-    {
-        TlbEntry e;
-        if (!lookup(va, e))
-            return false;
-        frame = e.frame;
-        writable = e.writable;
+        s->lastUse = ++clock_;
+        out = s->entry;
         return true;
     }
 
     /** Install a translation, evicting true-LRU if full. */
     void
-    insert(VAddr va, Addr frame, bool writable,
-           coherence::RegionAttr attr = coherence::RegionAttr::Coherent,
-           coherence::Protocol prot = {})
+    insert(VAddr va, const TlbEntry &entry)
     {
         const VAddr vpn = va >> mem::pageShift;
-        const TlbEntry entry{frame, writable, attr, prot};
-        if (auto it = map_.find(vpn); it != map_.end()) {
-            it->second->entry = entry;
-            lru_.splice(lru_.begin(), lru_, it->second);
-            return;
+        Slot *s = find(vpn);
+        if (!s && slots_.size() < entries_) {
+            s = &slots_.emplace_back();
+        } else if (!s) {
+            // Evict the least recently used entry: the oldest stamp.
+            s = &slots_.front();
+            for (Slot &c : slots_) {
+                if (c.lastUse < s->lastUse)
+                    s = &c;
+            }
         }
-        if (map_.size() >= entries_) {
-            // Evict the least recently used entry: the list tail.
-            map_.erase(lru_.back().vpn);
-            lru_.pop_back();
-        }
-        lru_.push_front(Node{vpn, entry});
-        map_[vpn] = lru_.begin();
+        *s = Slot{vpn, entry, ++clock_};
     }
 
     /** Invalidate one translation (x86 invlpg). */
     void
     invalidate(VAddr va)
     {
-        auto it = map_.find(va >> mem::pageShift);
-        if (it == map_.end())
-            return;
-        lru_.erase(it->second);
-        map_.erase(it);
+        if (Slot *s = find(va >> mem::pageShift)) {
+            *s = slots_.back();
+            slots_.pop_back();
+        }
     }
 
     /** Flush everything (MTTOP shootdown policy; CR3 switch). */
@@ -123,25 +110,36 @@ class Tlb
     flushAll()
     {
         ++flushes_;
-        map_.clear();
-        lru_.clear();
+        slots_.clear();
     }
 
-    std::size_t size() const { return map_.size(); }
+    std::size_t size() const { return slots_.size(); }
 
     std::uint64_t flushes() const { return flushes_.value(); }
 
   private:
-    struct Node
+    struct Slot
     {
         VAddr vpn = 0;
         TlbEntry entry;
+        std::uint64_t lastUse = 0; ///< recency stamp, unique per slot
     };
 
+    Slot *
+    find(VAddr vpn)
+    {
+        for (Slot &s : slots_) {
+            if (s.vpn == vpn)
+                return &s;
+        }
+        return nullptr;
+    }
+
     unsigned entries_;
-    /** Recency order, most recent first. */
-    std::list<Node> lru_;
-    std::unordered_map<VAddr, std::list<Node>::iterator> map_;
+    /** The live translations, in no particular order. */
+    std::vector<Slot> slots_;
+    /** Source of the strictly increasing recency stamps. */
+    std::uint64_t clock_ = 0;
 
     sim::Counter &hits_;
     sim::Counter &misses_;

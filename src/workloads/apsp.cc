@@ -214,13 +214,6 @@ apspXthreads(system::CcsvmMachine &m, unsigned n)
 }
 
 RunResult
-apspXthreads(unsigned n, system::CcsvmConfig cfg)
-{
-    system::CcsvmMachine m(cfg);
-    return apspXthreads(m, n);
-}
-
-RunResult
 apspOpenCl(unsigned n, apu::ApuConfig cfg, apu::ocl::OclConfig ocl)
 {
     apu::ApuMachine m(cfg);

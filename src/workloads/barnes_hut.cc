@@ -581,13 +581,6 @@ barnesHutXthreads(system::CcsvmMachine &m, const BarnesHutParams &p)
 }
 
 RunResult
-barnesHutXthreads(const BarnesHutParams &p, system::CcsvmConfig cfg)
-{
-    system::CcsvmMachine m(cfg);
-    return barnesHutXthreads(m, p);
-}
-
-RunResult
 barnesHutCpuSingle(const BarnesHutParams &p, apu::ApuConfig cfg)
 {
     apu::ApuMachine m(cfg);

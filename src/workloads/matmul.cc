@@ -203,7 +203,6 @@ RunResult
 matmulXthreads(system::CcsvmMachine &m, unsigned n, bool region_hints,
                std::uint64_t seed)
 {
-    const MatmulInputs in(n, seed);
     runtime::Process &proc = m.createProcess();
 
     const unsigned max_contexts =
@@ -246,6 +245,10 @@ matmulXthreads(system::CcsvmMachine &m, unsigned n, bool region_hints,
     const VAddr c = proc.gmalloc(n * n * 4);
     const VAddr done = proc.gmalloc(num_threads * 4);
     const VAddr args = proc.gmalloc(64);
+    // The host copy of the inputs (2 n^2 ints) is built only once the
+    // guest heap has room for the run: an oversized n fails in
+    // gmalloc above, before it costs host memory.
+    const MatmulInputs in(n, seed);
     for (unsigned t = 0; t < num_threads; ++t)
         proc.poke<std::uint32_t>(done + t * 4, 0);
     proc.poke<std::uint64_t>(args + argA, a);
@@ -276,13 +279,6 @@ matmulXthreads(system::CcsvmMachine &m, unsigned n, bool region_hints,
     r.dramAccesses = m.dramAccesses() - dram0;
     r.correct = verify(proc, in, c, n);
     return r;
-}
-
-RunResult
-matmulXthreads(unsigned n, system::CcsvmConfig cfg)
-{
-    system::CcsvmMachine m(cfg);
-    return matmulXthreads(m, n);
 }
 
 RunResult

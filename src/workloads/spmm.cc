@@ -327,13 +327,6 @@ spmmXthreads(system::CcsvmMachine &m, const SpmmParams &p)
 }
 
 RunResult
-spmmXthreads(const SpmmParams &p, system::CcsvmConfig cfg)
-{
-    system::CcsvmMachine m(cfg);
-    return spmmXthreads(m, p);
-}
-
-RunResult
 spmmCpuSingle(const SpmmParams &p, apu::ApuConfig cfg)
 {
     apu::ApuMachine m(cfg);

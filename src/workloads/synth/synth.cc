@@ -837,11 +837,4 @@ synthXthreads(system::CcsvmMachine &m, const SynthParams &in)
     return r;
 }
 
-RunResult
-synthXthreads(const SynthParams &p, system::CcsvmConfig cfg)
-{
-    system::CcsvmMachine m(cfg);
-    return synthXthreads(m, p);
-}
-
 } // namespace ccsvm::workloads::synth

@@ -14,9 +14,10 @@
  * - sparse matrix multiply (Fig. 8): linked-list rows, result built
  *   with mttop_malloc; CCSVM/xthreads vs one CPU core
  *
- * Every runner builds a fresh machine, runs the workload as guest
- * code, validates results against a host golden model, and reports
- * the measured region's time and off-chip DRAM transactions.
+ * Every runner runs the workload as guest code (the CCSVM runners on
+ * a caller-provided machine, the APU runners on a fresh one),
+ * validates results against a host golden model, and reports the
+ * measured region's time and off-chip DRAM transactions.
  */
 
 #ifndef CCSVM_WORKLOADS_WORKLOADS_HH
@@ -47,10 +48,9 @@ struct RunResult
 
 // --- dense matrix multiply (Fig. 5 / Fig. 9) -------------------------
 
-// Each CCSVM runner comes in two forms: the original one that builds
-// a fresh machine from a config, and an overload that runs on a
-// caller-provided machine so the caller keeps access to the full
-// stats registry afterwards (the ccsvm driver's JSON dump needs it).
+// The CCSVM runners take a caller-provided machine, so the caller
+// keeps access to the full stats registry afterwards (the ccsvm
+// driver's JSON dump needs it).
 
 /** @param region_hints annotate the A/B input matrices as read-mostly
  * regions (protocol override to MESI): their fills stay clean-
@@ -66,8 +66,6 @@ struct RunResult
 RunResult matmulXthreads(system::CcsvmMachine &m, unsigned n,
                          bool region_hints = false,
                          std::uint64_t seed = 0);
-RunResult matmulXthreads(unsigned n,
-                         system::CcsvmConfig cfg = {});
 RunResult matmulOpenCl(unsigned n, apu::ApuConfig cfg = {},
                        apu::ocl::OclConfig ocl = {},
                        std::uint64_t seed = 0);
@@ -77,7 +75,6 @@ RunResult matmulCpuSingle(unsigned n, apu::ApuConfig cfg = {},
 // --- all-pairs shortest path (Fig. 6) --------------------------------
 
 RunResult apspXthreads(system::CcsvmMachine &m, unsigned n);
-RunResult apspXthreads(unsigned n, system::CcsvmConfig cfg = {});
 RunResult apspOpenCl(unsigned n, apu::ApuConfig cfg = {},
                      apu::ocl::OclConfig ocl = {});
 RunResult apspCpuSingle(unsigned n, apu::ApuConfig cfg = {});
@@ -95,8 +92,6 @@ struct BarnesHutParams
 
 RunResult barnesHutXthreads(system::CcsvmMachine &m,
                             const BarnesHutParams &p);
-RunResult barnesHutXthreads(const BarnesHutParams &p,
-                            system::CcsvmConfig cfg = {});
 RunResult barnesHutCpuSingle(const BarnesHutParams &p,
                              apu::ApuConfig cfg = {});
 /** pthreads across the APU's 4 CPU cores (the paper's comparison). */
@@ -114,8 +109,6 @@ struct SpmmParams
 
 RunResult spmmXthreads(system::CcsvmMachine &m,
                        const SpmmParams &p);
-RunResult spmmXthreads(const SpmmParams &p,
-                       system::CcsvmConfig cfg = {});
 RunResult spmmCpuSingle(const SpmmParams &p, apu::ApuConfig cfg = {});
 
 } // namespace ccsvm::workloads

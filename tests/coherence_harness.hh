@@ -76,7 +76,6 @@ struct CohHarness
         const Protocol cpu_proto = split.cpuProto;
         const Protocol mttop_proto = split.mttopProto;
         const int num_l1s = split.cpuL1s + split.mttopL1s;
-        dir_cfg.protocol = cpu_proto;
         dir_cfg.cpuProtocol = cpu_proto;
         dir_cfg.mttopProtocol = mttop_proto;
         dir_cfg.firstMttopL1 = num_cpu_l1s;

@@ -89,10 +89,10 @@ TEST(TlbRegions, CarriesAttributeAndProtocol)
     sim::EventQueue eq;
     sim::StatRegistry stats;
     vm::Tlb tlb(stats, "tlb", 4);
-    tlb.insert(0x1000, 0xa000, true, RegionAttr::Bypass);
-    tlb.insert(0x2000, 0xb000, false,
-               RegionAttr::ProtocolOverride, Protocol::MSI);
-    tlb.insert(0x3000, 0xc000, true);
+    tlb.insert(0x1000, {0xa000, true, RegionAttr::Bypass});
+    tlb.insert(0x2000, {0xb000, false, RegionAttr::ProtocolOverride,
+                        Protocol::MSI});
+    tlb.insert(0x3000, {0xc000, true});
 
     vm::TlbEntry e;
     ASSERT_TRUE(tlb.lookup(0x1008, e));
@@ -108,7 +108,7 @@ TEST(TlbRegions, CarriesAttributeAndProtocol)
     EXPECT_EQ(e.attr, RegionAttr::Coherent);
 
     // Re-insert updates the attribute in place.
-    tlb.insert(0x3000, 0xc000, true, RegionAttr::Bypass);
+    tlb.insert(0x3000, {0xc000, true, RegionAttr::Bypass});
     ASSERT_TRUE(tlb.lookup(0x3000, e));
     EXPECT_EQ(e.attr, RegionAttr::Bypass);
     EXPECT_EQ(tlb.size(), 3u);

@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "base/random.hh"
 #include "mem/dram.hh"
 #include "mem/phys_mem.hh"
 #include "sim/eventq.hh"
@@ -106,48 +112,168 @@ TEST_F(VmFixture, SparseHighAddressesWork)
 TEST_F(VmFixture, TlbHitMissAndLru)
 {
     Tlb tlb(stats, "tlb", 4);
-    Addr frame;
-    bool w;
-    EXPECT_FALSE(tlb.lookup(0x1000, frame, w));
-    tlb.insert(0x1000, 0xa000, true);
-    ASSERT_TRUE(tlb.lookup(0x1000, frame, w));
-    EXPECT_EQ(frame, 0xa000u);
-    EXPECT_TRUE(w);
+    TlbEntry e;
+    EXPECT_FALSE(tlb.lookup(0x1000, e));
+    tlb.insert(0x1000, {0xa000, true});
+    ASSERT_TRUE(tlb.lookup(0x1000, e));
+    EXPECT_EQ(e.frame, 0xa000u);
+    EXPECT_TRUE(e.writable);
 
     // Fill to capacity, then add one more: LRU (0x1000 is most
     // recently used thanks to the lookup) must survive.
-    tlb.insert(0x2000, 0xb000, true);
-    tlb.insert(0x3000, 0xc000, true);
-    tlb.insert(0x4000, 0xd000, true);
-    ASSERT_TRUE(tlb.lookup(0x1000, frame, w));
-    tlb.insert(0x5000, 0xe000, true);
+    tlb.insert(0x2000, {0xb000, true});
+    tlb.insert(0x3000, {0xc000, true});
+    tlb.insert(0x4000, {0xd000, true});
+    ASSERT_TRUE(tlb.lookup(0x1000, e));
+    tlb.insert(0x5000, {0xe000, true});
     EXPECT_EQ(tlb.size(), 4u);
-    EXPECT_TRUE(tlb.lookup(0x1000, frame, w)) << "MRU evicted";
+    EXPECT_TRUE(tlb.lookup(0x1000, e)) << "MRU evicted";
 }
 
 TEST_F(VmFixture, TlbExactLruOrderUnderChurn)
 {
-    // The LRU is a recency list + map (constant time), not a scan;
-    // this pins the exact eviction order across interleaved hits,
+    // Pins the exact eviction order across interleaved hits,
     // re-inserts and misses so any future structure change must keep
     // true-LRU behavior.
     Tlb tlb(stats, "lrutlb", 3);
-    Addr frame;
-    bool w;
-    tlb.insert(0x1000, 0xa000, true);
-    tlb.insert(0x2000, 0xb000, true);
-    tlb.insert(0x3000, 0xc000, true);
+    TlbEntry e;
+    tlb.insert(0x1000, {0xa000, true});
+    tlb.insert(0x2000, {0xb000, true});
+    tlb.insert(0x3000, {0xc000, true});
     // Recency now 3,2,1. Touch 1 -> 1,3,2; re-insert 2 -> 2,1,3.
-    ASSERT_TRUE(tlb.lookup(0x1000, frame, w));
-    tlb.insert(0x2000, 0xb100, true);
+    ASSERT_TRUE(tlb.lookup(0x1000, e));
+    tlb.insert(0x2000, {0xb100, true});
     // Next two inserts evict 3 then... 1 (2 was freshened).
-    tlb.insert(0x4000, 0xd000, true);
-    EXPECT_FALSE(tlb.lookup(0x3000, frame, w));
-    tlb.insert(0x5000, 0xe000, true);
-    EXPECT_FALSE(tlb.lookup(0x1000, frame, w));
-    ASSERT_TRUE(tlb.lookup(0x2000, frame, w));
-    EXPECT_EQ(frame, 0xb100u) << "re-insert must update in place";
+    tlb.insert(0x4000, {0xd000, true});
+    EXPECT_FALSE(tlb.lookup(0x3000, e));
+    tlb.insert(0x5000, {0xe000, true});
+    EXPECT_FALSE(tlb.lookup(0x1000, e));
+    ASSERT_TRUE(tlb.lookup(0x2000, e));
+    EXPECT_EQ(e.frame, 0xb100u) << "re-insert must update in place";
     EXPECT_EQ(tlb.size(), 3u);
+}
+
+/** True-LRU reference: a recency list, most recent first. */
+class LruModel
+{
+  public:
+    explicit LruModel(std::size_t cap) : cap_(cap) {}
+
+    const TlbEntry *
+    lookup(VAddr vpn)
+    {
+        auto it = find(vpn);
+        if (it == lru_.end())
+            return nullptr;
+        lru_.splice(lru_.begin(), lru_, it);
+        return &lru_.front().second;
+    }
+
+    /** @return the evicted VPN, if any. */
+    std::optional<VAddr>
+    insert(VAddr vpn, const TlbEntry &e)
+    {
+        std::optional<VAddr> victim;
+        if (auto it = find(vpn); it != lru_.end()) {
+            lru_.erase(it);
+        } else if (lru_.size() == cap_) {
+            victim = lru_.back().first;
+            lru_.pop_back();
+        }
+        lru_.emplace_front(vpn, e);
+        return victim;
+    }
+
+    void
+    invalidate(VAddr vpn)
+    {
+        if (auto it = find(vpn); it != lru_.end())
+            lru_.erase(it);
+    }
+
+    void flushAll() { lru_.clear(); }
+    std::size_t size() const { return lru_.size(); }
+
+  private:
+    using List = std::list<std::pair<VAddr, TlbEntry>>;
+
+    List::iterator
+    find(VAddr vpn)
+    {
+        return std::find_if(lru_.begin(), lru_.end(),
+                            [vpn](const auto &n) {
+                                return n.first == vpn;
+                            });
+    }
+
+    std::size_t cap_;
+    List lru_;
+};
+
+TEST_F(VmFixture, TlbMatchesTrueLruModel)
+{
+    // A seeded random mix of lookups, inserts, invalidations and
+    // flushes over a page set a little over twice the capacity, so
+    // hits, misses and evictions all occur. Every hit must return the
+    // model's entry, every miss must be a model miss, and every
+    // eviction must drop exactly the model's LRU victim.
+    for (const unsigned cap : {1u, 3u, 4u, 64u}) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        const std::string name = "ref" + std::to_string(cap);
+        Tlb tlb(stats, name, cap);
+        LruModel model(cap);
+        Random rng(20130421 + cap);
+        const std::uint64_t pages = 2 * cap + 2;
+        std::uint64_t hits = 0, misses = 0, flushes = 0;
+        for (int step = 0; step < 20000; ++step) {
+            const VAddr vpn = 0x40000 + rng.below(pages);
+            const VAddr va = (vpn << mem::pageShift) |
+                             rng.below(mem::pageBytes);
+            const std::uint64_t op = rng.below(100);
+            if (op < 50) {
+                TlbEntry got;
+                const bool hit = tlb.lookup(va, got);
+                const TlbEntry *want = model.lookup(vpn);
+                ASSERT_EQ(hit, want != nullptr) << "step " << step;
+                if (hit) {
+                    ++hits;
+                    EXPECT_EQ(got.frame, want->frame);
+                    EXPECT_EQ(got.writable, want->writable);
+                    EXPECT_EQ(got.attr, want->attr);
+                    EXPECT_EQ(got.prot, want->prot);
+                } else {
+                    ++misses;
+                }
+            } else if (op < 85) {
+                const TlbEntry e{
+                    rng.below(1u << 20) << mem::pageShift,
+                    rng.below(2) == 1,
+                    static_cast<coherence::RegionAttr>(rng.below(3)),
+                    static_cast<coherence::Protocol>(rng.below(3))};
+                tlb.insert(va, e);
+                if (const auto victim = model.insert(vpn, e)) {
+                    // A miss leaves the recency order alone.
+                    TlbEntry gone;
+                    ASSERT_FALSE(tlb.lookup(*victim << mem::pageShift,
+                                            gone))
+                        << "step " << step << ": LRU victim survived";
+                    ++misses;
+                }
+            } else if (op < 97) {
+                tlb.invalidate(va);
+                model.invalidate(vpn);
+            } else {
+                tlb.flushAll();
+                model.flushAll();
+                ++flushes;
+            }
+            ASSERT_EQ(tlb.size(), model.size()) << "step " << step;
+        }
+        EXPECT_EQ(stats.get(name + ".hits"), hits);
+        EXPECT_EQ(stats.get(name + ".misses"), misses);
+        EXPECT_EQ(stats.get(name + ".flushes"), flushes);
+        EXPECT_GT(hits, 0u);
+    }
 }
 
 TEST_F(VmFixture, ShootdownPolicyCountsFlushes)
@@ -172,8 +298,8 @@ TEST_F(VmFixture, ShootdownPolicyCountsFlushes)
     ASSERT_TRUE(faulted);
     const Addr frame = as->pageTable().walk(0x2000'0000).frame;
     for (Tlb *t : {&cpu0, &cpu1, &mt0, &mt1}) {
-        t->insert(0x2000'0000, frame, true);
-        t->insert(0x3000'0000, 0xbeef000, true);
+        t->insert(0x2000'0000, {frame, true});
+        t->insert(0x3000'0000, {0xbeef000, true});
     }
 
     bool done = false;
@@ -183,11 +309,10 @@ TEST_F(VmFixture, ShootdownPolicyCountsFlushes)
 
     // CPU TLBs: precise invalidation, unrelated entries survive, no
     // whole-TLB flush counted.
-    Addr f;
-    bool w;
+    TlbEntry e;
     for (Tlb *t : {&cpu0, &cpu1}) {
-        EXPECT_FALSE(t->lookup(0x2000'0000, f, w));
-        EXPECT_TRUE(t->lookup(0x3000'0000, f, w));
+        EXPECT_FALSE(t->lookup(0x2000'0000, e));
+        EXPECT_TRUE(t->lookup(0x3000'0000, e));
     }
     EXPECT_EQ(stats.get("sd.cpu0.flushes"), 0u);
     EXPECT_EQ(stats.get("sd.cpu1.flushes"), 0u);
@@ -213,14 +338,13 @@ TEST_F(VmFixture, ShootdownPolicyCountsFlushes)
 TEST_F(VmFixture, TlbInvalidateAndFlush)
 {
     Tlb tlb(stats, "tlb");
-    tlb.insert(0x1000, 0xa000, true);
-    tlb.insert(0x2000, 0xb000, false);
+    tlb.insert(0x1000, {0xa000, true});
+    tlb.insert(0x2000, {0xb000, false});
     tlb.invalidate(0x1234); // same page as 0x1000
-    Addr frame;
-    bool w;
-    EXPECT_FALSE(tlb.lookup(0x1000, frame, w));
-    EXPECT_TRUE(tlb.lookup(0x2000, frame, w));
-    EXPECT_FALSE(w);
+    TlbEntry e;
+    EXPECT_FALSE(tlb.lookup(0x1000, e));
+    EXPECT_TRUE(tlb.lookup(0x2000, e));
+    EXPECT_FALSE(e.writable);
     tlb.flushAll();
     EXPECT_EQ(tlb.size(), 0u);
     EXPECT_EQ(stats.get("tlb.flushes"), 1u);
@@ -325,10 +449,10 @@ TEST_F(VmFixture, ShootdownFlushesMttopTlbsAndInvalidatesCpuTlbs)
     eq.run();
     ASSERT_TRUE(faulted);
     const Addr frame = as->pageTable().walk(0x2000'0000).frame;
-    cpu_tlb.insert(0x2000'0000, frame, true);
-    cpu_tlb.insert(0x3000'0000, 0xbeef000, true);
-    mttop_tlb.insert(0x2000'0000, frame, true);
-    mttop_tlb.insert(0x3000'0000, 0xbeef000, true);
+    cpu_tlb.insert(0x2000'0000, {frame, true});
+    cpu_tlb.insert(0x3000'0000, {0xbeef000, true});
+    mttop_tlb.insert(0x2000'0000, {frame, true});
+    mttop_tlb.insert(0x3000'0000, {0xbeef000, true});
 
     bool done = false;
     kernel.unmapAndShootdown(*as, 0x2000'0000, [&] { done = true; });
@@ -336,11 +460,10 @@ TEST_F(VmFixture, ShootdownFlushesMttopTlbsAndInvalidatesCpuTlbs)
     ASSERT_TRUE(done);
     EXPECT_FALSE(as->pageTable().walk(0x2000'0000).present);
 
-    Addr f;
-    bool w;
+    TlbEntry e;
     // CPU TLB: precise invalidation, other entries survive.
-    EXPECT_FALSE(cpu_tlb.lookup(0x2000'0000, f, w));
-    EXPECT_TRUE(cpu_tlb.lookup(0x3000'0000, f, w));
+    EXPECT_FALSE(cpu_tlb.lookup(0x2000'0000, e));
+    EXPECT_TRUE(cpu_tlb.lookup(0x3000'0000, e));
     // MTTOP TLB: conservative full flush (paper Sec. 3.2.1).
     EXPECT_EQ(mttop_tlb.size(), 0u);
 }

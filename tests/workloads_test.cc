@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <stdexcept>
+
 #include "workloads/workloads.hh"
 
 namespace ccsvm::workloads
@@ -17,7 +23,8 @@ namespace
 TEST(Matmul, XthreadsCorrectAcrossSizes)
 {
     for (unsigned n : {4u, 8u, 16u}) {
-        RunResult r = matmulXthreads(n);
+        system::CcsvmMachine m;
+        RunResult r = matmulXthreads(m, n);
         EXPECT_TRUE(r.correct) << "n=" << n;
         EXPECT_GT(r.ticks, 0u);
     }
@@ -44,7 +51,8 @@ TEST(Matmul, CcsvmBeatsApuAtSmallSizes)
     // Figure 5's headline: at small matrix sizes CCSVM/xthreads wins
     // by orders of magnitude against the APU, even ignoring init.
     const unsigned n = 16;
-    RunResult ccsvm = matmulXthreads(n);
+    system::CcsvmMachine m;
+    RunResult ccsvm = matmulXthreads(m, n);
     RunResult apu = matmulOpenCl(n);
     RunResult cpu = matmulCpuSingle(n);
     ASSERT_TRUE(ccsvm.correct && apu.correct && cpu.correct);
@@ -58,16 +66,48 @@ TEST(Matmul, CcsvmUsesFarFewerDramAccesses)
 {
     // Figure 9: the APU communicates through DRAM, CCSVM on-chip.
     const unsigned n = 16;
-    RunResult ccsvm = matmulXthreads(n);
+    system::CcsvmMachine m;
+    RunResult ccsvm = matmulXthreads(m, n);
     RunResult apu = matmulOpenCl(n);
     ASSERT_TRUE(ccsvm.correct && apu.correct);
     EXPECT_LT(ccsvm.dramAccesses * 4, apu.dramAccesses);
 }
 
+TEST(Matmul, OversizedRunFailsBeforeBuildingHostInputs)
+{
+    // n = 16384 is in the driver's range (one n x n matrix of words
+    // fits the 1 GiB guest heap), but A, B and C together do not: the
+    // run must fail in gmalloc (the driver then exits 2) before it
+    // builds the 2 n^2-int (2 GiB) host copy of the inputs. It runs in
+    // a child process so that its peak RSS is measured on its own.
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        int code = 0;
+        try {
+            system::CcsvmMachine m;
+            matmulXthreads(m, 16384);
+        } catch (const std::length_error &) {
+            code = 2;
+        } catch (...) {
+            code = 3;
+        }
+        _exit(code);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2) << "want a guest heap exhaustion";
+    rusage ru{};
+    ASSERT_EQ(getrusage(RUSAGE_CHILDREN, &ru), 0);
+    EXPECT_LT(ru.ru_maxrss, 256 * 1024) << "child peak RSS in KiB";
+}
+
 TEST(Apsp, AllSystemsCorrect)
 {
     const unsigned n = 12;
-    RunResult x = apspXthreads(n);
+    system::CcsvmMachine m;
+    RunResult x = apspXthreads(m, n);
     RunResult c = apspCpuSingle(n);
     RunResult o = apspOpenCl(n);
     EXPECT_TRUE(x.correct);
@@ -80,7 +120,8 @@ TEST(Apsp, ApuNeverBeatsCpuAndCcsvmWins)
     // Figure 6: per-iteration relaunch costs sink the APU below the
     // plain CPU; CCSVM's on-chip barrier wins.
     const unsigned n = 16;
-    RunResult x = apspXthreads(n);
+    system::CcsvmMachine m;
+    RunResult x = apspXthreads(m, n);
     RunResult c = apspCpuSingle(n);
     RunResult o = apspOpenCl(n);
     ASSERT_TRUE(x.correct && c.correct && o.correct);
@@ -95,7 +136,8 @@ TEST(BarnesHut, XthreadsMatchesGolden)
     BarnesHutParams p;
     p.bodies = 48;
     p.steps = 2;
-    RunResult r = barnesHutXthreads(p);
+    system::CcsvmMachine m;
+    RunResult r = barnesHutXthreads(m, p);
     EXPECT_TRUE(r.correct);
 }
 
@@ -123,7 +165,8 @@ TEST(Spmm, XthreadsMatchesGoldenAcrossDensities)
         SpmmParams p;
         p.n = 24;
         p.density = density;
-        RunResult r = spmmXthreads(p);
+        system::CcsvmMachine m;
+        RunResult r = spmmXthreads(m, p);
         EXPECT_TRUE(r.correct) << "density=" << density;
     }
 }
